@@ -8,12 +8,13 @@ namespace oij::col {
 size_t ColumnarBatchStage::SortByKey() {
   order_.resize(ts_.size());
   std::iota(order_.begin(), order_.end(), 0u);
-  // Stable: append order is pop order (ts non-decreasing), so each
-  // key-group comes out ts-sorted without comparing timestamps.
-  std::stable_sort(order_.begin(), order_.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     return key_[a] < key_[b];
-                   });
+  // Stable by the position tie-break: append order is pop order (ts
+  // non-decreasing), so each key-group comes out ts-sorted without
+  // comparing timestamps. std::sort, unlike std::stable_sort, allocates
+  // no scratch buffer per drain.
+  std::sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
+    return key_[a] < key_[b] || (key_[a] == key_[b] && a < b);
+  });
   size_t groups = 0;
   for (size_t i = 0; i < order_.size(); ++i) {
     if (i == 0 || key_[order_[i]] != key_[order_[i - 1]]) ++groups;

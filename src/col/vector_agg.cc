@@ -138,13 +138,4 @@ SliceAgg AggregateSlice(const double* v, size_t n) {
 
 #endif  // OIJ_COL_HAVE_AVX2
 
-void PrefixSums(const double* v, size_t n, double* out) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = acc;
-    acc += v[i];
-  }
-  out[n] = acc;
-}
-
 }  // namespace oij::col

@@ -76,12 +76,6 @@ inline void PrefetchRead(const void* p) {
 #endif
 }
 
-/// Exclusive prefix sums: out[i] = v[0] + ... + v[i-1], out[n] = total.
-/// `out` must have room for n + 1 doubles. The sweep merge's invertible
-/// fast path turns every per-base window sum into two loads and one
-/// subtract, independent of window width.
-void PrefixSums(const double* v, size_t n, double* out);
-
 }  // namespace oij::col
 
 #endif  // OIJ_COL_VECTOR_AGG_H_

@@ -791,7 +791,12 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
   while (!flushed && !aborted && !stop_requested()) {
     size_t got = queues_[joiner]->PopBatch(batch.data(), drain_batch);
     if (got == 0) {
-      OnIdle(joiner);
+      const int64_t idle_start = track_busy ? MonotonicNowNs() : 0;
+      if (OnIdle(joiner) && track_busy) {
+        const int64_t idle_end = MonotonicNowNs();
+        busy_ns_[joiner] += idle_end - idle_start;
+        if (track_util) util_trackers_[joiner].AddBusy(idle_start, idle_end);
+      }
       backoff.Pause();
       continue;
     }

@@ -209,26 +209,32 @@ struct EngineOptions {
   /// --- Columnar batch-join kernels (src/col/, DESIGN.md §5h) ---
 
   /// Let the joiners finalize drained base runs through the columnar
-  /// batch kernels: transpose the ready bases into SoA columns, locate
-  /// each key-group's window boundary in the index once, sweep the
-  /// sorted run, and aggregate contiguous payload slices with
-  /// SIMD/prefetch. Exactness is unaffected (differential-tested
-  /// against the scalar path and the reference oracle across policies);
-  /// off = byte-for-byte legacy per-tuple path.
+  /// batch kernels: transpose the ready bases into SoA columns, group
+  /// them by key, and join each key-group as a unit. Scale-OIJ with an
+  /// invertible aggregate and `incremental_agg` walks each group's
+  /// window deltas with two forward cursors per team member (the delta
+  /// sweep); every other configuration gathers the group's union window
+  /// once, sweeps the sorted run, and aggregates contiguous payload
+  /// slices with SIMD/prefetch. Exactness is unaffected (differential-
+  /// tested against the scalar path and the reference oracle across
+  /// policies); off = byte-for-byte legacy per-tuple path.
   bool columnar_batch = true;
 
   /// Minimum ready bases in one drain before the columnar path engages;
   /// smaller runs take the scalar path (the transpose/sort overhead
-  /// only amortizes at batch sizes around this default).
+  /// only amortizes at batch sizes around this default). Gates only
+  /// Key-OIJ, min/max and full-scan drains: Scale-OIJ's delta sweep
+  /// takes every run.
   uint32_t columnar_min_run = 16;
 
-  /// Minimum bases in one sorted key-group before that group is swept
+  /// Minimum bases in one sorted key-group before that group is gathered
   /// columnar; smaller groups replay through the scalar kernel even
   /// inside a columnar drain. A group of one or two bases has nothing
   /// to amortize the per-group gather against (a run of N keys × 1 base
   /// would otherwise pay N gathers for zero sharing), so high-key-count
   /// batches degrade gracefully to the legacy cost instead of
-  /// regressing. 0 or 1 sweeps every group.
+  /// regressing. 0 or 1 gathers every group. Like `columnar_min_run`,
+  /// gates only Key-OIJ, min/max and full-scan groups.
   uint32_t columnar_min_group = 4;
 
   /// Scale-OIJ: router events between rebalance attempts.
@@ -557,7 +563,8 @@ class ParallelEngineBase : public JoinEngine {
 
   /// Called when the joiner's queue is momentarily empty; engines poll
   /// deferred work (pending base tuples waiting on teammates) here.
-  virtual void OnIdle(uint32_t /*joiner*/) {}
+  /// Returns whether any work was done, so that time counts as busy.
+  virtual bool OnIdle(uint32_t /*joiner*/) { return false; }
 
   /// Final drain before the joiner thread exits.
   virtual void OnFlush(uint32_t /*joiner*/) {}

@@ -215,9 +215,9 @@ void ScaleOijEngine::OnWatermark(uint32_t joiner, Timestamp watermark) {
   Evict(s);
 }
 
-void ScaleOijEngine::OnIdle(uint32_t joiner) {
+bool ScaleOijEngine::OnIdle(uint32_t joiner) {
   // Teammate progress may have advanced while our queue is empty.
-  DrainPending(joiner, *states_[joiner]);
+  return DrainPending(joiner, *states_[joiner]);
 }
 
 bool ScaleOijEngine::HavePending(const JoinerState& s) const {
@@ -240,19 +240,15 @@ void ScaleOijEngine::OnFlush(uint32_t joiner) {
   PublishReadFloor(s);
 }
 
-void ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
+bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
   if (s.schedule == nullptr) s.schedule = table_.Snapshot();
   bool popped = false;
   for (QueryRuntime* q : JoinerQueries(joiner)) {
     if (q == nullptr) continue;  // not yet announced to this joiner
     QuerySlot& qs = s.slots[q->ord];
     if (!options().columnar_batch) {
-      while (!qs.pending.empty()) {
+      while (!qs.pending.empty() && Ready(s, q->spec, qs.pending.top())) {
         const PendingBase top = qs.pending.top();
-        const uint32_t p = PartitionTable::PartitionOf(
-            top.tuple.key, options().num_partitions);
-        const Timestamp window_end = q->spec.window.end_for(top.tuple.ts);
-        if (window_end > TeamMinProgress(s.schedule->teams[p])) break;
         qs.pending.pop();
         popped = true;
         JoinOne(joiner, s, *q, qs, top.tuple, top.arrival_us);
@@ -263,20 +259,21 @@ void ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
     // stage first (the gate is checked per pop exactly as the scalar
     // loop does), then join it key-group at a time. Pop order is
     // non-decreasing ts, which the stable key sort preserves within
-    // each group — the sweep-merge precondition.
+    // each group — the precondition of both group kernels.
     s.stage.Clear();
-    while (!qs.pending.empty()) {
+    while (!qs.pending.empty() && Ready(s, q->spec, qs.pending.top())) {
       const PendingBase top = qs.pending.top();
-      const uint32_t p = PartitionTable::PartitionOf(
-          top.tuple.key, options().num_partitions);
-      const Timestamp window_end = q->spec.window.end_for(top.tuple.ts);
-      if (window_end > TeamMinProgress(s.schedule->teams[p])) break;
       qs.pending.pop();
       popped = true;
       s.stage.Append(top.tuple, top.arrival_us);
     }
     if (s.stage.empty()) continue;
-    if (s.stage.size() < options().columnar_min_run) {
+    // Invertible incremental aggregates sweep every group, whatever its
+    // size: the sweep reads only each window's delta, so it never costs
+    // more than the scalar slides it replaces.
+    const bool sweep = options().incremental_agg &&
+                       IsInvertible(q->spec.agg) && !ScanAnnex(q->spec);
+    if (!sweep && s.stage.size() < options().columnar_min_run) {
       // Short runs are cheaper scalar: replay in pop order, exactly
       // the sequence the legacy loop would have produced.
       for (size_t i = 0; i < s.stage.size(); ++i) {
@@ -286,10 +283,35 @@ void ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
     }
     s.stage.SortByKey();
     s.stage.ForEachGroup([&](Key key, size_t begin, size_t end) {
-      JoinGroupColumnar(joiner, s, *q, qs, key, begin, end);
+      if (sweep) {
+        JoinGroupSweep(s, *q, qs, key, begin, end);
+      } else {
+        JoinGroupColumnar(joiner, s, *q, qs, key, begin, end);
+      }
     });
   }
   if (popped) PublishReadFloor(s);
+  return popped;
+}
+
+bool ScaleOijEngine::Ready(const JoinerState& s, const QuerySpec& qspec,
+                           const PendingBase& base) const {
+  const uint32_t p =
+      PartitionTable::PartitionOf(base.tuple.key, options().num_partitions);
+  // The joiner's own progress gates too. Its schedule snapshot may
+  // predate the rebalance that added it to this base's team; once its
+  // own progress passes the window end it has processed the punctuation
+  // that refreshed the snapshot to cover every member holding in-window
+  // probes.
+  const Timestamp ready =
+      std::min(TeamMinProgress(s.schedule->teams[p]),
+               s.progress.load(std::memory_order_relaxed));
+  return qspec.window.end_for(base.tuple.ts) <= ready;
+}
+
+bool ScaleOijEngine::ScanAnnex(const QuerySpec& qspec) const {
+  return qspec.late_policy == LatePolicy::kBestEffortJoin &&
+         annex_dirty_.load(std::memory_order_acquire);
 }
 
 void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
@@ -307,9 +329,7 @@ void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
   // their incremental window states for full main+annex scans (the
   // annex breaks the in-order precondition incremental slides rely on).
   // Exact-policy queries never scan the annex and keep sliding.
-  const bool scan_annex =
-      qspec.late_policy == LatePolicy::kBestEffortJoin &&
-      annex_dirty_.load(std::memory_order_acquire);
+  const bool scan_annex = ScanAnnex(qspec);
 
   uint64_t op_visited = 0;
   double result_value = 0.0;
@@ -395,24 +415,127 @@ void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
           out_min, out_max);
 }
 
+void ScaleOijEngine::JoinGroupSweep(JoinerState& s, QueryRuntime& query,
+                                    QuerySlot& slot, Key key, size_t begin,
+                                    size_t end) {
+  const QuerySpec& qspec = query.spec;
+  const size_t num_bases = end - begin;
+  const uint32_t p =
+      PartitionTable::PartitionOf(key, options().num_partitions);
+  const std::vector<uint32_t>& team = s.schedule->teams[p];
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  // The key's running window, advanced locally and handed back at the
+  // end. The checks below are IncrementalWindowState::Slide's.
+  IncrementalWindowState& inc = slot.inc_states[key];
+  AggState agg = inc.agg();
+  Timestamp prev_start = inc.prev_start();
+  Timestamp prev_end = inc.prev_end();
+  bool valid = inc.valid();
+  auto can_slide = [&](Timestamp start, Timestamp end_ts) {
+    return valid && start >= prev_start && end_ts >= prev_end &&
+           start <= prev_end + 1;
+  };
+
+  s.cursors.resize(team.size());
+  s.group_out.resize(num_bases);
+  int64_t reseek_ns = 0;  // mid-group seeks, charged to lookup
+  {
+    // Held only while the cursors walk: results are emitted below, after
+    // release, so a slow sink never stalls reclamation.
+    EpochGuard guard(ebr_, s.ebr_slot);
+    const int64_t t0 = MonotonicNowNs();
+    // One layer lookup and two seeks per member: `lo` at the running
+    // window's start, `hi` just past its end. A window that cannot slide
+    // is recomputed from cursors placed at its own start: here for the
+    // first base, in the loop for a gap wider than the window.
+    const Timestamp first_ts = s.stage.SortedTs(begin);
+    const Timestamp first_start = qspec.window.start_for(first_ts);
+    const bool resume =
+        can_slide(first_start, qspec.window.end_for(first_ts));
+    for (size_t i = 0; i < team.size(); ++i) {
+      SweepCursor& c = s.cursors[i];
+      c.layer = states_[team[i]]->index.FindLayer(key);
+      if (c.layer == nullptr) {
+        c.lo = c.hi = {};
+      } else if (resume) {
+        c.lo = c.layer->SeekGE(prev_start);
+        c.hi = c.layer->SeekGE(prev_end + 1);
+      } else {
+        c.lo = c.hi = c.layer->SeekGE(first_start);
+      }
+    }
+    const int64_t t1 = MonotonicNowNs();
+
+    // Per base, the Subtract then Add passes run member by member in
+    // team order — Slide's scan order — so every sum is bit-identical to
+    // the scalar path's.
+    for (size_t b = 0; b < num_bases; ++b) {
+      const Timestamp ts = s.stage.SortedTs(begin + b);
+      const Timestamp start = qspec.window.start_for(ts);
+      const Timestamp end_ts = qspec.window.end_for(ts);
+      uint64_t visited = 0;
+      if (can_slide(start, end_ts)) {
+        for (SweepCursor& c : s.cursors) {
+          for (; c.lo.Valid() && c.lo.key() < start; c.lo.Next()) {
+            s.cache_probe.Touch(&c.lo.value());
+            agg.Subtract(c.lo.value().payload);
+            ++visited;
+          }
+        }
+        ++s.incremental_slides;
+      } else {
+        if (b > 0) {
+          const int64_t seek_start = MonotonicNowNs();
+          for (SweepCursor& c : s.cursors) {
+            if (c.layer != nullptr) c.lo = c.hi = c.layer->SeekGE(start);
+          }
+          reseek_ns += MonotonicNowNs() - seek_start;
+        }
+        agg.Reset();
+        ++s.recomputes;
+      }
+      for (SweepCursor& c : s.cursors) {
+        for (; c.hi.Valid() && c.hi.key() <= end_ts; c.hi.Next()) {
+          s.cache_probe.Touch(&c.hi.value());
+          agg.Add(c.hi.value().payload);
+          ++visited;
+        }
+      }
+      prev_start = start;
+      prev_end = end_ts;
+      valid = true;
+
+      s.group_out[b] = {agg.Result(qspec.agg), agg.count, agg.sum, nan, nan};
+      s.visited += visited;
+      s.matched += agg.count;
+      s.effectiveness_sum +=
+          visited == 0 ? 1.0
+                       : std::min(1.0, static_cast<double>(agg.count) /
+                                           static_cast<double>(visited));
+      ++s.join_ops;
+    }
+    s.breakdown.lookup_ns += (t1 - t0) + reseek_ns;
+    s.breakdown.match_ns += (MonotonicNowNs() - t1) - reseek_ns;
+  }
+  // Hand the last window to the key's incremental state: the next drain
+  // (or a scalar slide) continues from it, within one window of the
+  // published read floor.
+  inc.Reseed(prev_start, prev_end, agg);
+  EmitGroup(s, query, begin, end);
+  s.columnar_bases += num_bases;
+  ++s.columnar_groups;
+}
+
 void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
                                        QueryRuntime& query, QuerySlot& slot,
                                        Key key, size_t begin, size_t end) {
   const QuerySpec& qspec = query.spec;
   const size_t num_bases = end - begin;
 
-  // Engagement gate. The bar is higher when the scalar alternative is
-  // the invertible incremental path: that baseline carries window state
-  // across drains and only pays the *delta* per base, while the columnar
-  // gather re-reads the group's whole union window — which only pays off
-  // once the saved per-base index descents outweigh the re-read (~2x the
-  // generic group floor, empirically).
-  uint32_t min_group = options().columnar_min_group;
-  if (options().incremental_agg && IsInvertible(qspec.agg)) {
-    min_group = std::max(min_group, 2 * options().columnar_min_group);
-  }
-  if (num_bases < min_group) {
-    // Same replay the NaN fallback below uses.
+  // Engagement gate: a group too small to amortize its gather replays
+  // through the scalar kernel, like the NaN fallback below.
+  if (num_bases < options().columnar_min_group) {
     for (size_t i = begin; i < end; ++i) {
       JoinOne(joiner, s, query, slot, s.stage.SortedTuple(i),
               s.stage.SortedArrival(i));
@@ -423,12 +546,8 @@ void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
   const uint32_t p =
       PartitionTable::PartitionOf(key, options().num_partitions);
   const std::vector<uint32_t>& team = s.schedule->teams[p];
-  const bool scan_annex =
-      qspec.late_policy == LatePolicy::kBestEffortJoin &&
-      annex_dirty_.load(std::memory_order_acquire);
+  const bool scan_annex = ScanAnnex(qspec);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-
-  ScopedTimerNs timer(&s.breakdown.match_ns);
 
   // The group's base timestamps, sorted (stable key sort kept pop
   // order), and the union of their windows.
@@ -439,25 +558,28 @@ void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
   const Timestamp lo = qspec.window.start_for(s.group_ts[0]);
   const Timestamp hi = qspec.window.end_for(s.group_ts[num_bases - 1]);
 
-  // Stage 1 (gather): one SeekGE per team member covers every base of
-  // the group; the scalar path would descend once per (base, member).
-  // The epoch guard is only held here — once gathered, the batch is
-  // decoupled from index memory.
-  s.probes.Clear();
+  // Stage 1 (gather, charged to lookup): one SeekGE per team member
+  // covers every base of the group; the scalar path would descend once
+  // per (base, member). The epoch guard is only held here — once
+  // gathered, the batch is decoupled from index memory.
   uint64_t gathered = 0;
   {
-    EpochGuard guard(ebr_, s.ebr_slot);
-    auto touch = [&](const Tuple& t) { s.cache_probe.Touch(&t); };
-    for (uint32_t m : team) {
-      gathered +=
-          col::GatherRange(states_[m]->index, key, lo, hi, &s.probes, touch);
-      if (scan_annex) {
-        gathered += col::GatherRange(states_[m]->annex, key, lo, hi,
+    ScopedTimerNs timer(&s.breakdown.lookup_ns);
+    s.probes.Clear();
+    {
+      EpochGuard guard(ebr_, s.ebr_slot);
+      auto touch = [&](const Tuple& t) { s.cache_probe.Touch(&t); };
+      for (uint32_t m : team) {
+        gathered += col::GatherRange(states_[m]->index, key, lo, hi,
                                      &s.probes, touch);
+        if (scan_annex) {
+          gathered += col::GatherRange(states_[m]->annex, key, lo, hi,
+                                       &s.probes, touch);
+        }
       }
     }
+    s.probes.EnsureSorted();
   }
-  s.probes.EnsureSorted();
 
   if (!s.probes.all_finite()) {
     // NaN/Inf payloads would diverge under the SIMD min/max lanes;
@@ -470,52 +592,38 @@ void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
     return;
   }
 
-  // Stage 2 (sweep merge): per-base window slices from two monotone
-  // cursors.
-  s.slices.resize(num_bases);
-  col::ComputeWindowSlices(s.group_ts.data(), num_bases, qspec.window,
-                           s.probes.ts(), s.probes.size(), s.slices.data());
-
-  // Stage 3 (vector aggregate + emit), mirroring the scalar path's
-  // result-field contract per configuration.
+  // Stage 2 (sweep merge) and stage 3 (vector aggregate), charged to
+  // match: per-base window slices from two monotone cursors, then one
+  // slice reduction per base, mirroring the scalar path's result-field
+  // contract per configuration.
   const bool incremental = !scan_annex && options().incremental_agg;
-  if (incremental && IsInvertible(qspec.agg)) {
-    // Invertible fast path: exclusive prefix sums turn every window sum
-    // into two loads and a subtract. Scalar emits sum/count only here
-    // (min/max are not maintained incrementally), so we do the same.
-    s.prefix.resize(s.probes.size() + 1);
-    col::PrefixSums(s.probes.payload(), s.probes.size(), s.prefix.data());
-    AggState agg;
-    for (size_t i = 0; i < num_bases; ++i) {
-      const col::BaseSlice sl = s.slices[i];
-      agg.sum = s.prefix[sl.hi] - s.prefix[sl.lo];
-      agg.count = sl.hi - sl.lo;
-      s.matched += agg.count;
-      s.effectiveness_sum +=
-          gathered == 0 ? 1.0
-                        : std::min(1.0, static_cast<double>(agg.count) /
-                                            static_cast<double>(gathered));
-      ++s.join_ops;
-      ++s.incremental_slides;
-      EmitOne(s, query, s.stage.SortedTuple(begin + i),
-              s.stage.SortedArrival(begin + i), agg.Result(qspec.agg),
-              agg.count, agg.sum, nan, nan);
-    }
-    // Hand the last window's aggregate to the key's incremental state:
-    // a later scalar slide must start from *this* window, or its
-    // subtract-scan could reach below the published read floor (the
-    // floor budgets for at most one window below the next start).
-    slot.inc_states[key].Reseed(
-        qspec.window.start_for(s.group_ts[num_bases - 1]),
-        qspec.window.end_for(s.group_ts[num_bases - 1]), agg);
-  } else if (incremental) {
-    // Non-invertible (min/max): scalar emits only the requested extreme.
+  {
+    ScopedTimerNs timer(&s.breakdown.match_ns);
+    s.slices.resize(num_bases);
+    col::ComputeWindowSlices(s.group_ts.data(), num_bases, qspec.window,
+                             s.probes.ts(), s.probes.size(),
+                             s.slices.data());
+    s.group_out.resize(num_bases);
     for (size_t i = 0; i < num_bases; ++i) {
       const col::BaseSlice sl = s.slices[i];
       const col::SliceAgg sa =
           col::AggregateSlice(s.probes.payload() + sl.lo, sl.hi - sl.lo);
-      const double extreme = qspec.agg == AggKind::kMin ? sa.min : sa.max;
-      const double value = sa.count == 0 ? nan : extreme;
+      if (incremental) {
+        // Non-invertible (min/max): scalar emits only the requested
+        // extreme.
+        const bool is_min = qspec.agg == AggKind::kMin;
+        const double extreme = is_min ? sa.min : sa.max;
+        s.group_out[i] = {sa.count == 0 ? nan : extreme, sa.count, nan,
+                          is_min && sa.count > 0 ? sa.min : nan,
+                          !is_min && sa.count > 0 ? sa.max : nan};
+      } else {
+        // Full-scan configuration: scalar emits the complete window
+        // stats.
+        const AggState agg = sa.ToAggState();
+        s.group_out[i] = {agg.Result(qspec.agg), agg.count, agg.sum,
+                          agg.count > 0 ? agg.min : nan,
+                          agg.count > 0 ? agg.max : nan};
+      }
       s.matched += sa.count;
       s.effectiveness_sum +=
           gathered == 0 ? 1.0
@@ -523,41 +631,30 @@ void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
                                             static_cast<double>(gathered));
       ++s.join_ops;
       ++s.recomputes;
-      EmitOne(s, query, s.stage.SortedTuple(begin + i),
-              s.stage.SortedArrival(begin + i), value, sa.count, nan,
-              qspec.agg == AggKind::kMin && sa.count > 0 ? sa.min : nan,
-              qspec.agg == AggKind::kMax && sa.count > 0 ? sa.max : nan);
     }
+  }
+  if (incremental) {
     // The Two-Stacks FIFO (if armed) no longer matches the last scalar
     // window; force its next slide to recompute.
     auto it = slot.ni_states.find(key);
     if (it != slot.ni_states.end()) it->second.Invalidate();
-  } else {
-    // Full-scan configuration: scalar emits the complete window stats.
-    for (size_t i = 0; i < num_bases; ++i) {
-      const col::BaseSlice sl = s.slices[i];
-      const col::SliceAgg sa =
-          col::AggregateSlice(s.probes.payload() + sl.lo, sl.hi - sl.lo);
-      const AggState agg = sa.ToAggState();
-      s.matched += agg.count;
-      s.effectiveness_sum +=
-          gathered == 0 ? 1.0
-                        : std::min(1.0, static_cast<double>(agg.count) /
-                                            static_cast<double>(gathered));
-      ++s.join_ops;
-      ++s.recomputes;
-      EmitOne(s, query, s.stage.SortedTuple(begin + i),
-              s.stage.SortedArrival(begin + i), agg.Result(qspec.agg),
-              agg.count, agg.sum, agg.count > 0 ? agg.min : nan,
-              agg.count > 0 ? agg.max : nan);
-    }
   }
+  EmitGroup(s, query, begin, end);
 
   // The team's indexes were walked once for the whole group, not once
   // per base.
   s.visited += gathered;
   s.columnar_bases += num_bases;
   ++s.columnar_groups;
+}
+
+void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
+                               size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    const GroupResult& r = s.group_out[i - begin];
+    EmitOne(s, query, s.stage.SortedTuple(i), s.stage.SortedArrival(i),
+            r.value, r.count, r.sum, r.min, r.max);
+  }
 }
 
 void ScaleOijEngine::EmitOne(JoinerState& s, QueryRuntime& query,

@@ -34,18 +34,23 @@ namespace oij {
 ///     (Figs 13/14).
 ///  3. *Incremental window aggregation*: per (joiner, key) running
 ///     aggregates slide by Subtract-on-Evict, so overlapping windows share
-///     work (Fig 16).
+///     work (Fig 16). With the columnar path on, each drained key-group
+///     slides with forward cursors (the delta sweep) instead of
+///     re-seeking the index per base.
 ///
 /// Cross-thread protocol. Each joiner publishes `progress` — the event
 /// time through which it has durably processed its queue (its last
 /// watermark punctuation in kWatermark mode; max observed timestamp in
 /// kEager mode). A base tuple finalizes only once min(progress) over its
-/// partition's team has passed its window end; the acquire-load of a
-/// teammate's progress synchronizes with that teammate's release-store,
-/// so every insert the teammate performed earlier is visible to the scan.
-/// Teams only grow and joiners refresh their schedule snapshot at least
-/// once per punctuation, so a finalizing joiner's team view always covers
-/// every member that may hold in-window tuples.
+/// partition's team, and the finalizing joiner's own progress, have
+/// passed its window end; the acquire-load of a teammate's progress
+/// synchronizes with that teammate's release-store, so every insert the
+/// teammate performed earlier is visible to the scan. Teams only grow and
+/// joiners refresh their schedule snapshot at least once per punctuation,
+/// and the joiner's own progress proves it processed the punctuation past
+/// the window end, so its team view covers every member that may hold
+/// in-window tuples — even when a rebalance added it to the team after
+/// its last refresh.
 ///
 /// Eviction. Each joiner additionally publishes a monotone `read_floor`:
 /// a lower bound on every index timestamp it may still scan, derived from
@@ -66,7 +71,7 @@ class ScaleOijEngine : public ParallelEngineBase {
   void Route(const Event& event) override;
   void OnTuple(uint32_t joiner, const Event& event) override;
   void OnWatermark(uint32_t joiner, Timestamp watermark) override;
-  void OnIdle(uint32_t joiner) override;
+  bool OnIdle(uint32_t joiner) override;
   void OnFlush(uint32_t joiner) override;
   bool SupportsMultiQuery() const override { return true; }
   void OnAddQuery(uint32_t joiner, QueryRuntime& query) override;
@@ -99,6 +104,24 @@ class ScaleOijEngine : public ParallelEngineBase {
     std::unordered_map<Key, NonInvertibleWindowState> ni_states;
   };
 
+  /// One team member's forward cursors over a key's second layer: `lo`
+  /// at the first tuple >= the running window's start, `hi` at the first
+  /// tuple past its end.
+  struct SweepCursor {
+    TimeTravelIndex::SecondLayer* layer = nullptr;
+    TimeTravelIndex::SecondLayer::Iterator lo;
+    TimeTravelIndex::SecondLayer::Iterator hi;
+  };
+
+  /// One group-kernel result, held until the group is emitted.
+  struct GroupResult {
+    double value;
+    uint64_t count;
+    double sum;
+    double min;
+    double max;
+  };
+
   struct JoinerState {
     JoinerState(EpochManager* ebr, uint32_t slot, uint64_t seed,
                 NodeArena* arena)
@@ -129,7 +152,11 @@ class ScaleOijEngine : public ParallelEngineBase {
     col::ProbeColumns probes;
     std::vector<col::BaseSlice> slices;
     std::vector<Timestamp> group_ts;
-    std::vector<double> prefix;
+    /// Delta-sweep cursors, one pair per team member.
+    std::vector<SweepCursor> cursors;
+    /// Each base's result in the group being joined, emitted only after
+    /// the kernel released its epoch guard and stopped its timers.
+    std::vector<GroupResult> group_out;
     uint64_t columnar_bases = 0;
     uint64_t columnar_groups = 0;
     uint64_t columnar_fallbacks = 0;
@@ -174,18 +201,36 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// Smallest published read floor over all joiners (eviction bound).
   Timestamp GlobalMinReadFloor() const;
 
-  void DrainPending(uint32_t joiner, JoinerState& s);
+  /// Whether `base` may finalize: its window end is covered by the
+  /// published progress of every team member and of this joiner.
+  bool Ready(const JoinerState& s, const QuerySpec& qspec,
+             const PendingBase& base) const;
+  /// Finalizes every ready base; returns whether any was finalized.
+  bool DrainPending(uint32_t joiner, JoinerState& s);
+  /// True when `qspec` must also scan the late annex (best-effort query
+  /// after any late probe was admitted).
+  bool ScanAnnex(const QuerySpec& qspec) const;
   void JoinOne(uint32_t joiner, JoinerState& s, QueryRuntime& query,
                QuerySlot& slot, const Tuple& base, int64_t arrival_us);
-  /// Columnar path: joins one key-group of the staged run (positions
-  /// [begin, end) of the sorted stage) with one gather from the team's
-  /// indexes + one sweep, instead of one index descent per base. Keeps
-  /// the per-key incremental window states consistent (Reseed /
-  /// Invalidate) so interleaved scalar slides stay eviction-safe.
+  /// Delta sweep for invertible incremental aggregates: joins one
+  /// key-group of the staged run (positions [begin, end) of the sorted
+  /// stage) with two forward cursors per team member, running exactly
+  /// the Subtract/Add sequence IncrementalWindowState::Slide would run
+  /// base by base, then hands the last window back via Reseed.
+  void JoinGroupSweep(JoinerState& s, QueryRuntime& query, QuerySlot& slot,
+                      Key key, size_t begin, size_t end);
+  /// Columnar path for min/max and full-scan groups: joins one key-group
+  /// with one gather from the team's indexes + one slice sweep, instead
+  /// of one index descent per base. Invalidates the key's Two-Stacks
+  /// state so an interleaved scalar slide recomputes.
   void JoinGroupColumnar(uint32_t joiner, JoinerState& s,
                          QueryRuntime& query, QuerySlot& slot, Key key,
                          size_t begin, size_t end);
-  /// Shared result-emission tail of both join paths.
+  /// Emits the group kernels' results for sorted stage positions
+  /// [begin, end) from `group_out`.
+  void EmitGroup(JoinerState& s, QueryRuntime& query, size_t begin,
+                 size_t end);
+  /// Shared result-emission tail of every join path.
   void EmitOne(JoinerState& s, QueryRuntime& query, const Tuple& base,
                int64_t arrival_us, double value, uint64_t count,
                double out_sum, double out_min, double out_max);

@@ -1,9 +1,9 @@
 #ifndef OIJ_SCHED_PARTITION_TABLE_H_
 #define OIJ_SCHED_PARTITION_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/hash.h"
@@ -41,18 +41,24 @@ struct Schedule {
 };
 
 /// Atomically published schedule (paper: "atomically replaced after a new
-/// schedule"). The router publishes; router and joiners snapshot.
+/// schedule"). The router publishes; router and joiners snapshot. A
+/// mutex guards the pointer: snapshots are taken once per punctuation,
+/// not per tuple, and libstdc++ 12's std::atomic<std::shared_ptr> load
+/// releases its internal lock with relaxed order, which ThreadSanitizer
+/// rightly reports as a race with a concurrent store.
 class PartitionTable {
  public:
   PartitionTable(uint32_t num_partitions, uint32_t num_joiners)
       : current_(Schedule::MakeStatic(num_partitions, num_joiners)) {}
 
   std::shared_ptr<const Schedule> Snapshot() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_;
   }
 
   void Publish(std::shared_ptr<const Schedule> schedule) {
-    current_.store(std::move(schedule), std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu_);
+    current_ = std::move(schedule);
   }
 
   /// Partition of a key (shared by every component so routing and stats
@@ -62,7 +68,8 @@ class PartitionTable {
   }
 
  private:
-  std::atomic<std::shared_ptr<const Schedule>> current_;
+  mutable std::mutex mu_;
+  std::shared_ptr<const Schedule> current_;
 };
 
 }  // namespace oij

@@ -11,10 +11,15 @@
 //   * engine differentials: columnar on vs off vs the policy-aware
 //     reference oracle, across both parallel index engines, lateness
 //     policies, aggregate kinds, multi-query catalogs, the NaN-payload
-//     scalar fallback, and a crash-recovery replay.
+//     scalar fallback, and a crash-recovery replay;
+//   * Scale-OIJ's delta sweep: bit-identical to the scalar path on
+//     shared teams, keys missing from a member, gaps wider than the
+//     window, equal-ts window edges, FOL > 0, single-base drains, and
+//     sum/count/avg under every late policy.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -488,24 +493,6 @@ TEST(VectorAggTest, AggregatesMatchScalarReference) {
   EXPECT_EQ(empty.Result(AggKind::kSum), 0.0);
 }
 
-TEST(VectorAggTest, PrefixSumsMatchSliceSums) {
-  std::mt19937_64 rng(0x9eu);
-  std::uniform_real_distribution<double> dist(-10.0, 10.0);
-  std::vector<double> v(512);
-  for (double& x : v) x = dist(rng);
-  std::vector<double> prefix(v.size() + 1);
-  col::PrefixSums(v.data(), v.size(), prefix.data());
-  EXPECT_EQ(prefix[0], 0.0);
-  for (int iter = 0; iter < 50; ++iter) {
-    size_t lo = rng() % (v.size() + 1);
-    size_t hi = rng() % (v.size() + 1);
-    if (lo > hi) std::swap(lo, hi);
-    double want = 0.0;
-    for (size_t i = lo; i < hi; ++i) want += v[i];
-    EXPECT_NEAR(prefix[hi] - prefix[lo], want, 1e-9);
-  }
-}
-
 // --------------------------------- engine differentials: on vs off vs oracle
 
 constexpr uint64_t kWmEvery = 512;  // long drains: batches well past 16
@@ -642,6 +629,214 @@ TEST(ColumnarEngineTest, FollowingWindowAndWideWindowExact) {
     }
   }
 }
+
+// ------------------------------------------------ delta sweep (Scale-OIJ)
+
+/// Scale-OIJ options that put every key in one partition and rebalance
+/// often, so the partition's team grows to several members and every
+/// sweep walks more than one index.
+EngineOptions SharedTeamOptions(bool columnar) {
+  EngineOptions options;
+  options.num_joiners = 3;
+  options.num_partitions = 1;
+  options.rebalance_interval_events = 256;
+  options.columnar_batch = columnar;
+  return options;
+}
+
+/// Runs `events` through Scale-OIJ with the columnar path on and off.
+/// The on run must sweep every base and agree with the off run bit for
+/// bit; both must match the policy-aware oracle within tolerance.
+/// Returns the on run's stats.
+EngineStats ExpectSweepMatchesScalar(const std::vector<StreamEvent>& events,
+                                     const QuerySpec& q, uint64_t wm_every,
+                                     const std::string& label) {
+  auto expected = ReferenceJoinWithPolicy(events, q, wm_every);
+  SortResults(&expected);
+  const auto on = RunOverEvents(EngineKind::kScaleOij, events, q,
+                                SharedTeamOptions(true), wm_every);
+  const auto off = RunOverEvents(EngineKind::kScaleOij, events, q,
+                                 SharedTeamOptions(false), wm_every);
+  ExpectResultsEqual(on.results, expected, label + "/on-vs-oracle");
+  ExpectResultsEqual(off.results, expected, label + "/off-vs-oracle");
+  EXPECT_EQ(on.stats.columnar_bases, on.stats.results) << label;
+  EXPECT_GT(on.stats.columnar_groups, 0u) << label;
+  EXPECT_GT(on.stats.rebalances, 0u) << label << ": team never grew";
+  EXPECT_EQ(on.stats.visited, off.stats.visited) << label;
+  EXPECT_EQ(on.stats.matched, off.stats.matched) << label;
+
+  EXPECT_EQ(on.results.size(), off.results.size()) << label;
+  size_t mismatches = 0;
+  for (size_t i = 0; i < std::min(on.results.size(), off.results.size());
+       ++i) {
+    const ReferenceResult& a = on.results[i];
+    const ReferenceResult& b = off.results[i];
+    if (a.base != b.base || a.match_count != b.match_count ||
+        std::bit_cast<uint64_t>(a.aggregate) !=
+            std::bit_cast<uint64_t>(b.aggregate)) {
+      if (++mismatches <= 3) {
+        ADD_FAILURE() << label << ": on/off differ at base ts=" << a.base.ts
+                      << " key=" << a.base.key << ": " << a.aggregate
+                      << " vs " << b.aggregate;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << label << "/on-vs-off bits";
+  return on.stats;
+}
+
+StreamEvent MakeEvent(StreamId stream, Timestamp ts, Key key,
+                      double payload) {
+  StreamEvent ev;
+  ev.stream = stream;
+  ev.tuple.ts = ts;
+  ev.tuple.key = key;
+  ev.tuple.payload = payload;
+  return ev;
+}
+
+/// Payloads with many significant bits, so any change in the order of
+/// the additions and subtractions shows in the sums.
+double RoughPayload(std::mt19937_64& rng) {
+  return std::uniform_real_distribution<double>(-50.0, 50.0)(rng);
+}
+
+TEST(DeltaSweepTest, SharedTeamAndKeysMissingFromMembers) {
+  // Key 0 is dense; key 1 has a single probe, so at most one member of
+  // the team holds a layer for it; key 2 has bases but no probes, so no
+  // member does.
+  std::mt19937_64 rng(0x5eedu);
+  std::vector<StreamEvent> events;
+  for (Timestamp t = 0; t < 12'000; ++t) {
+    events.push_back(MakeEvent(StreamId::kProbe, t, 0, RoughPayload(rng)));
+    if (t % 3 == 0) events.push_back(MakeEvent(StreamId::kBase, t, 0, 1.0));
+    if (t == 5'000) {
+      events.push_back(MakeEvent(StreamId::kProbe, t, 1, RoughPayload(rng)));
+    }
+    if (t % 97 == 0) events.push_back(MakeEvent(StreamId::kBase, t, 1, 1.0));
+    if (t % 101 == 0) events.push_back(MakeEvent(StreamId::kBase, t, 2, 1.0));
+  }
+  for (AggKind agg : {AggKind::kSum, AggKind::kAvg}) {
+    const QuerySpec q = TestQuery(agg, /*lateness=*/0, {300, 0});
+    ExpectSweepMatchesScalar(events, q, 64,
+                             std::string("team/") +
+                                 std::string(AggKindName(agg)));
+  }
+}
+
+TEST(DeltaSweepTest, GapsWiderThanWindowRecomputeInsideOneGroup) {
+  // Clusters of bases 200 us apart with a 20 us window: inside one key
+  // group the sweep slides within a cluster, recomputes at its first
+  // base, and slides again. One drain at Finish puts every base of a
+  // key into one group; a short cadence splits clusters across drains.
+  std::mt19937_64 rng(0x6a95u);
+  std::vector<StreamEvent> events;
+  for (Timestamp t = 0; t < 8'000; ++t) {
+    events.push_back(
+        MakeEvent(StreamId::kProbe, t, static_cast<Key>(t % 2),
+                  RoughPayload(rng)));
+    const Timestamp phase = t % 200;
+    if (phase == 0 || phase == 3 || phase == 7 || phase == 50 ||
+        phase == 51) {
+      events.push_back(MakeEvent(StreamId::kBase, t, 0, 1.0));
+      events.push_back(MakeEvent(StreamId::kBase, t + 1, 1, 1.0));
+    }
+  }
+  const QuerySpec q = TestQuery(AggKind::kSum, /*lateness=*/0, {20, 0});
+  for (uint64_t wm_every : {uint64_t{1} << 40, uint64_t{300}}) {
+    ExpectSweepMatchesScalar(events, q, wm_every,
+                             "gaps/wm" + std::to_string(wm_every));
+  }
+}
+
+TEST(DeltaSweepTest, EqualTimestampsOnWindowEdgesAndFollowingWindows) {
+  // Probes arrive three to a timestamp, every 5 us, and bases sit on the
+  // same grid (and one past it): window starts and ends land on runs of
+  // equal timestamps, with and without a following part.
+  std::mt19937_64 rng(0xed9eu);
+  std::vector<StreamEvent> events;
+  for (Timestamp t = 0; t < 6'000; ++t) {
+    if (t % 5 == 0) {
+      for (int i = 0; i < 3; ++i) {
+        events.push_back(
+            MakeEvent(StreamId::kProbe, t, static_cast<Key>(i % 2),
+                      RoughPayload(rng)));
+      }
+      events.push_back(MakeEvent(StreamId::kBase, t, 0, 1.0));
+      events.push_back(MakeEvent(StreamId::kBase, t, 1, 2.0));
+    }
+    if (t % 15 == 1) events.push_back(MakeEvent(StreamId::kBase, t, 0, 3.0));
+  }
+  for (IntervalWindow window : {IntervalWindow{20, 0}, IntervalWindow{20, 10},
+                                IntervalWindow{0, 10},
+                                IntervalWindow{10, 15}}) {
+    const QuerySpec q = TestQuery(AggKind::kSum, /*lateness=*/0, window);
+    ExpectSweepMatchesScalar(events, q, 40,
+                             "edges/pre" + std::to_string(window.pre) +
+                                 "+fol" + std::to_string(window.fol));
+  }
+}
+
+TEST(DeltaSweepTest, SingleBaseDrains) {
+  // A punctuation after every arrival (or every third) releases about
+  // one base per drain: each drain's group is a single base that
+  // continues the running window the previous drain left behind.
+  WorkloadSpec w = TestWorkload(361, /*keys=*/3);
+  w.total_tuples = 6'000;
+  const auto events = Generate(w);
+  for (uint64_t wm_every : {uint64_t{1}, uint64_t{3}}) {
+    ExpectSweepMatchesScalar(events, TestQuery(AggKind::kCount), wm_every,
+                             "single/wm" + std::to_string(wm_every));
+  }
+}
+
+TEST(DeltaSweepTest, SingleBaseDrainsUnderEagerEmit) {
+  // Eager emit drains after every tuple. On an in-order stream with
+  // unique timestamps it is exact, so it too must match bit for bit.
+  WorkloadSpec w = TestWorkload(371, /*keys=*/3, /*disorder=*/0);
+  w.total_tuples = 6'000;
+  const auto events = Generate(w);
+  QuerySpec q = TestQuery(AggKind::kAvg, /*lateness=*/0);
+  q.emit_mode = EmitMode::kEager;
+  ExpectSweepMatchesScalar(events, q, 256, "eager");
+}
+
+class DeltaSweepPolicyTest
+    : public ::testing::TestWithParam<std::tuple<AggKind, LatePolicy>> {};
+
+TEST_P(DeltaSweepPolicyTest, MatchesScalarAndOracle) {
+  const auto [agg, policy] = GetParam();
+  WorkloadSpec w = TestWorkload(381, /*keys=*/4);
+  w.total_tuples = 15'000;
+  if (policy != LatePolicy::kBestEffortJoin) {
+    // Late tuples are dropped or diverted before routing. Best-effort
+    // gets none: a late probe joined mid-sweep is timing dependent.
+    w.late_flood_fraction = 0.10;
+    w.late_flood_extra_us = 60;
+  }
+  const auto events = Generate(w);
+  const QuerySpec q = TestQuery(agg, 50, {400, 0}, policy);
+  ExpectSweepMatchesScalar(events, q, kWmEvery,
+                           std::string(AggKindName(agg)) + "/" +
+                               std::string(LatePolicyName(policy)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InvertibleAggsTimesPolicies, DeltaSweepPolicyTest,
+    ::testing::Combine(::testing::Values(AggKind::kSum, AggKind::kCount,
+                                         AggKind::kAvg),
+                       ::testing::Values(LatePolicy::kBestEffortJoin,
+                                         LatePolicy::kDropAndCount,
+                                         LatePolicy::kSideChannel)),
+    [](const auto& info) {
+      std::string name =
+          std::string(AggKindName(std::get<0>(info.param))) + "_" +
+          std::string(LatePolicyName(std::get<1>(info.param)));
+      for (auto& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 // ------------------------------------------------ NaN-payload fallback
 

@@ -382,6 +382,29 @@ TEST(EngineBehaviourTest, IncrementalReducesVisitsOnLargeWindows) {
   EXPECT_LT(inc.stats.visited, full.stats.visited / 5);
 }
 
+TEST(EngineBehaviourTest, ScaleOijBreakdownFitsInBusyTime) {
+  // Fig 6 accounting: Scale-OIJ charges layer lookups and seeks to
+  // lookup and the window walk to match, both strictly inside the
+  // joiner's busy time — including finalization run while the joiner's
+  // queue is empty (OnIdle) or flushing.
+  for (EmitMode mode : {EmitMode::kWatermark, EmitMode::kEager}) {
+    const bool eager = mode == EmitMode::kEager;
+    WorkloadSpec w = TestWorkload(131, /*keys=*/4, eager ? 0 : 50);
+    if (eager) w.lateness_us = 0;
+    const QuerySpec q = TestQuery(mode, AggKind::kSum, eager ? 0 : 50);
+    const auto events = Generate(w);
+
+    EngineOptions options;
+    options.num_joiners = 2;
+    const auto run = RunOverEvents(EngineKind::kScaleOij, events, q, options);
+    const TimeBreakdown& b = run.stats.breakdown;
+    const char* label = eager ? "eager" : "watermark";
+    EXPECT_GT(b.lookup_ns, 0) << label;
+    EXPECT_GT(b.match_ns, 0) << label;
+    EXPECT_LE(b.lookup_ns + b.match_ns, b.busy_ns) << label;
+  }
+}
+
 TEST(EngineBehaviourTest, DynamicScheduleBalancesFewKeys) {
   // 2 keys on 4 joiners: Key-OIJ leaves half the joiners idle; Scale-OIJ's
   // dynamic schedule spreads the load (Fig 13a/c).
