@@ -13,9 +13,10 @@ namespace oij::col {
 
 /// ColumnarBatchStage & friends — the staging leg of the columnar batch
 /// kernels (DESIGN.md §5h). When a drain releases a run of base tuples,
-/// the engines transpose them out of their pending queues into SoA
-/// columns here (ts[], key[], payload[], arrival[]), sort/group by key,
-/// and hand each key-group to the sweep merge. Probe tuples gathered
+/// Key-OIJ transposes them out of its pending queue into SoA columns
+/// here (ts[], key[], payload[], arrival[]), sorts/groups them by key,
+/// and hands each key-group to the sweep merge. (Scale-OIJ queues its
+/// bases per key already and needs no stage.) Probe tuples gathered
 /// from the time-travel index land in a ProbeColumns pair the
 /// VectorAggregate kernels stream over.
 ///

@@ -209,22 +209,24 @@ struct EngineOptions {
   /// --- Columnar batch-join kernels (src/col/, DESIGN.md §5h) ---
 
   /// Let the joiners finalize drained base runs through the columnar
-  /// batch kernels: transpose the ready bases into SoA columns, group
-  /// them by key, and join each key-group as a unit. Scale-OIJ with an
-  /// invertible aggregate and `incremental_agg` walks each group's
-  /// window deltas with two forward cursors per team member (the delta
-  /// sweep); every other configuration gathers the group's union window
-  /// once, sweeps the sorted run, and aggregates contiguous payload
-  /// slices with SIMD/prefetch. Exactness is unaffected (differential-
+  /// batch kernels, one key's ready bases as a unit. Key-OIJ transposes
+  /// each drained run into SoA columns and groups it by key; Scale-OIJ
+  /// already queues pending bases per key and hands each key's ready
+  /// prefix over directly. Scale-OIJ with an invertible aggregate and
+  /// `incremental_agg` walks each run's window deltas with two forward
+  /// cursors per team member (the delta sweep); every other
+  /// configuration gathers the group's union window once, sweeps the
+  /// sorted run, and aggregates contiguous payload slices with
+  /// SIMD/prefetch. Exactness is unaffected (differential-
   /// tested against the scalar path and the reference oracle across
   /// policies); off = byte-for-byte legacy per-tuple path.
   bool columnar_batch = true;
 
-  /// Minimum ready bases in one drain before the columnar path engages;
-  /// smaller runs take the scalar path (the transpose/sort overhead
-  /// only amortizes at batch sizes around this default). Gates only
-  /// Key-OIJ, min/max and full-scan drains: Scale-OIJ's delta sweep
-  /// takes every run.
+  /// Minimum ready bases in one Key-OIJ drain before the columnar path
+  /// engages; smaller runs take the scalar path (the transpose/sort
+  /// overhead only amortizes at batch sizes around this default).
+  /// Key-OIJ only: Scale-OIJ neither transposes nor sorts, its per-key
+  /// runs go straight to their kernel.
   uint32_t columnar_min_run = 16;
 
   /// Minimum bases in one sorted key-group before that group is gathered
@@ -233,8 +235,9 @@ struct EngineOptions {
   /// to amortize the per-group gather against (a run of N keys × 1 base
   /// would otherwise pay N gathers for zero sharing), so high-key-count
   /// batches degrade gracefully to the legacy cost instead of
-  /// regressing. 0 or 1 gathers every group. Like `columnar_min_run`,
-  /// gates only Key-OIJ, min/max and full-scan groups.
+  /// regressing. 0 or 1 gathers every group. Gates only Key-OIJ and
+  /// Scale-OIJ's min/max and full-scan groups: the delta sweep takes
+  /// every run.
   uint32_t columnar_min_group = 4;
 
   /// Scale-OIJ: router events between rebalance attempts.

@@ -288,8 +288,10 @@ void HandshakeOijEngine::JoinerMain(uint32_t joiner) {
           s.direct_flushed = true;
           break;
         case Event::Kind::kSnapshot:
-          // Durability barriers are only emitted by ParallelEngineBase
-          // engines; the handshake ring never sees one.
+        case Event::Kind::kAddQuery:
+        case Event::Kind::kRemoveQuery:
+          // Durability and catalog barriers are only emitted by
+          // ParallelEngineBase engines; the handshake ring never sees one.
           break;
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
 #include <thread>
 #include <tuple>
@@ -133,9 +134,7 @@ void ScaleOijEngine::PublishProgress(JoinerState& s) {
 void ScaleOijEngine::PublishReadFloor(JoinerState& s) {
   Timestamp basis = s.last_wm;
   for (const QuerySlot& qs : s.slots) {
-    if (!qs.pending.empty()) {
-      basis = std::min(basis, qs.pending.top().tuple.ts);
-    }
+    if (qs.pending > 0) basis = std::min(basis, qs.heads.top().ts);
   }
   if (basis == kMinTimestamp) return;  // nothing observed yet
   const Timestamp reach = s.reach;
@@ -189,8 +188,7 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
           q->spec.late_policy != LatePolicy::kBestEffortJoin) {
         continue;
       }
-      s.slots[q->ord].pending.push(
-          PendingBase{event.tuple, event.arrival_us});
+      AddPending(s, s.slots[q->ord], event.tuple, event.arrival_us);
     }
   }
 
@@ -222,7 +220,7 @@ bool ScaleOijEngine::OnIdle(uint32_t joiner) {
 
 bool ScaleOijEngine::HavePending(const JoinerState& s) const {
   for (const QuerySlot& qs : s.slots) {
-    if (!qs.pending.empty()) return true;
+    if (qs.pending > 0) return true;
   }
   return false;
 }
@@ -240,73 +238,85 @@ void ScaleOijEngine::OnFlush(uint32_t joiner) {
   PublishReadFloor(s);
 }
 
+void ScaleOijEngine::AddPending(JoinerState& s, QuerySlot& slot,
+                                const Tuple& base, int64_t arrival_us) {
+  auto [it, inserted] = slot.keys.try_emplace(base.key);
+  KeyState& ks = it->second;
+  if (inserted) ks.key = base.key;
+  if (ks.pending.capacity() == 0 && !s.spare_pending.empty()) {
+    ks.pending.swap(s.spare_pending.back());
+    s.spare_pending.pop_back();
+  }
+  const bool new_head =
+      ks.pending.empty() || base.ts < ks.pending.front().ts;
+  ks.pending.push_back({base.ts, base.payload, arrival_us});
+  std::push_heap(ks.pending.begin(), ks.pending.end(), std::greater<>());
+  ++slot.pending;
+  // A new oldest base supersedes the key's queued head entry.
+  if (new_head) slot.heads.push({base.ts, ++ks.gen, &ks});
+}
+
 bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
   if (s.schedule == nullptr) s.schedule = table_.Snapshot();
+  // The joiner's own progress gates too. Its schedule snapshot may
+  // predate the rebalance that added it to a key's team; once its own
+  // progress passes the window end it has processed the punctuation
+  // that refreshed the snapshot to cover every member holding in-window
+  // probes.
+  const Timestamp own = s.progress.load(std::memory_order_relaxed);
   bool popped = false;
   for (QueryRuntime* q : JoinerQueries(joiner)) {
     if (q == nullptr) continue;  // not yet announced to this joiner
     QuerySlot& qs = s.slots[q->ord];
-    if (!options().columnar_batch) {
-      while (!qs.pending.empty() && Ready(s, q->spec, qs.pending.top())) {
-        const PendingBase top = qs.pending.top();
-        qs.pending.pop();
-        popped = true;
-        JoinOne(joiner, s, *q, qs, top.tuple, top.arrival_us);
-      }
-      continue;
-    }
-    // Columnar path: release the whole team-progress-gated run into the
-    // stage first (the gate is checked per pop exactly as the scalar
-    // loop does), then join it key-group at a time. Pop order is
-    // non-decreasing ts, which the stable key sort preserves within
-    // each group — the precondition of both group kernels.
-    s.stage.Clear();
-    while (!qs.pending.empty() && Ready(s, q->spec, qs.pending.top())) {
-      const PendingBase top = qs.pending.top();
-      qs.pending.pop();
-      popped = true;
-      s.stage.Append(top.tuple, top.arrival_us);
-    }
-    if (s.stage.empty()) continue;
-    // Invertible incremental aggregates sweep every group, whatever its
+    const IntervalWindow& window = q->spec.window;
+    // Invertible incremental aggregates sweep every run, whatever its
     // size: the sweep reads only each window's delta, so it never costs
     // more than the scalar slides it replaces.
     const bool sweep = options().incremental_agg &&
                        IsInvertible(q->spec.agg) && !ScanAnnex(q->spec);
-    if (!sweep && s.stage.size() < options().columnar_min_run) {
-      // Short runs are cheaper scalar: replay in pop order, exactly
-      // the sequence the legacy loop would have produced.
-      for (size_t i = 0; i < s.stage.size(); ++i) {
-        JoinOne(joiner, s, *q, qs, s.stage.TupleAt(i), s.stage.ArrivalAt(i));
+    // Heads pop in ts order: once one's window end passes our own
+    // progress, every later key's does too.
+    while (!qs.heads.empty() && window.end_for(qs.heads.top().ts) <= own) {
+      HeadEntry head = qs.heads.top();
+      qs.heads.pop();
+      KeyState& ks = *head.key;
+      if (head.gen != ks.gen) continue;  // superseded by an older base
+      const uint32_t p =
+          PartitionTable::PartitionOf(ks.key, options().num_partitions);
+      const std::vector<uint32_t>& team = s.schedule->teams[p];
+      // One gate per key: its ready prefix, popped in ts order.
+      const Timestamp ready = std::min(TeamMinProgress(team), own);
+      s.run.clear();
+      while (!ks.pending.empty() &&
+             window.end_for(ks.pending.front().ts) <= ready) {
+        std::pop_heap(ks.pending.begin(), ks.pending.end(), std::greater<>());
+        s.run.push_back(ks.pending.back());
+        ks.pending.pop_back();
       }
-      continue;
-    }
-    s.stage.SortByKey();
-    s.stage.ForEachGroup([&](Key key, size_t begin, size_t end) {
-      if (sweep) {
-        JoinGroupSweep(s, *q, qs, key, begin, end);
+      if (ks.pending.empty()) {
+        s.spare_pending.emplace_back().swap(ks.pending);
       } else {
-        JoinGroupColumnar(joiner, s, *q, qs, key, begin, end);
+        // Its team lags, or its next base is not due yet: re-queue once
+        // the drain is over, so the loop moves on to other keys.
+        head.ts = ks.pending.front().ts;
+        s.deferred.push_back(head);
       }
-    });
+      if (s.run.empty()) continue;
+      qs.pending -= s.run.size();
+      popped = true;
+      if (!options().columnar_batch) {
+        for (const PendingBase& base : s.run) JoinOne(s, *q, ks, team, base);
+      } else if (sweep) {
+        JoinGroupSweep(s, *q, ks, team);
+      } else {
+        JoinGroupColumnar(s, *q, ks, team);
+      }
+    }
+    for (const HeadEntry& head : s.deferred) qs.heads.push(head);
+    s.deferred.clear();
   }
   if (popped) PublishReadFloor(s);
   return popped;
-}
-
-bool ScaleOijEngine::Ready(const JoinerState& s, const QuerySpec& qspec,
-                           const PendingBase& base) const {
-  const uint32_t p =
-      PartitionTable::PartitionOf(base.tuple.key, options().num_partitions);
-  // The joiner's own progress gates too. Its schedule snapshot may
-  // predate the rebalance that added it to this base's team; once its
-  // own progress passes the window end it has processed the punctuation
-  // that refreshed the snapshot to cover every member holding in-window
-  // probes.
-  const Timestamp ready =
-      std::min(TeamMinProgress(s.schedule->teams[p]),
-               s.progress.load(std::memory_order_relaxed));
-  return qspec.window.end_for(base.tuple.ts) <= ready;
 }
 
 bool ScaleOijEngine::ScanAnnex(const QuerySpec& qspec) const {
@@ -314,16 +324,13 @@ bool ScaleOijEngine::ScanAnnex(const QuerySpec& qspec) const {
          annex_dirty_.load(std::memory_order_acquire);
 }
 
-void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
-                             QueryRuntime& query, QuerySlot& slot,
-                             const Tuple& base, int64_t arrival_us) {
-  (void)joiner;
+void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
+                             KeyState& ks, const std::vector<uint32_t>& team,
+                             const PendingBase& pending) {
   const QuerySpec& qspec = query.spec;
+  const Tuple base{pending.ts, ks.key, pending.payload};
   const Timestamp start = qspec.window.start_for(base.ts);
   const Timestamp end = qspec.window.end_for(base.ts);
-  const uint32_t p =
-      PartitionTable::PartitionOf(base.key, options().num_partitions);
-  const std::vector<uint32_t>& team = s.schedule->teams[p];
 
   // Once any late probe entered an annex, best-effort queries trade
   // their incremental window states for full main+annex scans (the
@@ -360,7 +367,7 @@ void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
 
     if (!scan_annex && options().incremental_agg &&
         IsInvertible(qspec.agg)) {
-      IncrementalWindowState& inc = slot.inc_states[base.key];
+      IncrementalWindowState& inc = ks.inc;
       const auto slide = inc.Slide(start, end, qspec.agg, scan);
       if (slide.recomputed) {
         ++s.recomputes;
@@ -372,8 +379,8 @@ void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
       out_sum = inc.agg().sum;  // min/max not maintained incrementally
     } else if (!scan_annex && options().incremental_agg) {
       // Non-invertible (min/max): Two-Stacks incremental window.
-      NonInvertibleWindowState& ni =
-          slot.ni_states.try_emplace(base.key, qspec.agg).first->second;
+      if (!ks.ni) ks.ni.emplace(qspec.agg);
+      NonInvertibleWindowState& ni = *ks.ni;
       const auto slide = ni.Slide(start, end, scan);
       if (slide.recomputed) {
         ++s.recomputes;
@@ -411,23 +418,20 @@ void ScaleOijEngine::JoinOne(uint32_t joiner, JoinerState& s,
                                           static_cast<double>(op_visited));
   ++s.join_ops;
 
-  EmitOne(s, query, base, arrival_us, result_value, result_count, out_sum,
-          out_min, out_max);
+  EmitOne(s, query, base, pending.arrival_us, MonotonicNowUs(), result_value,
+          result_count, out_sum, out_min, out_max);
 }
 
 void ScaleOijEngine::JoinGroupSweep(JoinerState& s, QueryRuntime& query,
-                                    QuerySlot& slot, Key key, size_t begin,
-                                    size_t end) {
+                                    KeyState& ks,
+                                    const std::vector<uint32_t>& team) {
   const QuerySpec& qspec = query.spec;
-  const size_t num_bases = end - begin;
-  const uint32_t p =
-      PartitionTable::PartitionOf(key, options().num_partitions);
-  const std::vector<uint32_t>& team = s.schedule->teams[p];
+  const size_t num_bases = s.run.size();
   const double nan = std::numeric_limits<double>::quiet_NaN();
 
   // The key's running window, advanced locally and handed back at the
   // end. The checks below are IncrementalWindowState::Slide's.
-  IncrementalWindowState& inc = slot.inc_states[key];
+  IncrementalWindowState& inc = ks.inc;
   AggState agg = inc.agg();
   Timestamp prev_start = inc.prev_start();
   Timestamp prev_end = inc.prev_end();
@@ -440,6 +444,7 @@ void ScaleOijEngine::JoinGroupSweep(JoinerState& s, QueryRuntime& query,
   s.cursors.resize(team.size());
   s.group_out.resize(num_bases);
   int64_t reseek_ns = 0;  // mid-group seeks, charged to lookup
+  int64_t done_ns = 0;    // closes the timers and stamps every result
   {
     // Held only while the cursors walk: results are emitted below, after
     // release, so a slow sink never stalls reclamation.
@@ -449,13 +454,13 @@ void ScaleOijEngine::JoinGroupSweep(JoinerState& s, QueryRuntime& query,
     // window's start, `hi` just past its end. A window that cannot slide
     // is recomputed from cursors placed at its own start: here for the
     // first base, in the loop for a gap wider than the window.
-    const Timestamp first_ts = s.stage.SortedTs(begin);
+    const Timestamp first_ts = s.run.front().ts;
     const Timestamp first_start = qspec.window.start_for(first_ts);
     const bool resume =
         can_slide(first_start, qspec.window.end_for(first_ts));
     for (size_t i = 0; i < team.size(); ++i) {
       SweepCursor& c = s.cursors[i];
-      c.layer = states_[team[i]]->index.FindLayer(key);
+      c.layer = states_[team[i]]->index.FindLayer(ks.key);
       if (c.layer == nullptr) {
         c.lo = c.hi = {};
       } else if (resume) {
@@ -471,7 +476,7 @@ void ScaleOijEngine::JoinGroupSweep(JoinerState& s, QueryRuntime& query,
     // team order — Slide's scan order — so every sum is bit-identical to
     // the scalar path's.
     for (size_t b = 0; b < num_bases; ++b) {
-      const Timestamp ts = s.stage.SortedTs(begin + b);
+      const Timestamp ts = s.run[b].ts;
       const Timestamp start = qspec.window.start_for(ts);
       const Timestamp end_ts = qspec.window.end_for(ts);
       uint64_t visited = 0;
@@ -515,46 +520,39 @@ void ScaleOijEngine::JoinGroupSweep(JoinerState& s, QueryRuntime& query,
                                            static_cast<double>(visited));
       ++s.join_ops;
     }
+    done_ns = MonotonicNowNs();
     s.breakdown.lookup_ns += (t1 - t0) + reseek_ns;
-    s.breakdown.match_ns += (MonotonicNowNs() - t1) - reseek_ns;
+    s.breakdown.match_ns += (done_ns - t1) - reseek_ns;
   }
   // Hand the last window to the key's incremental state: the next drain
   // (or a scalar slide) continues from it, within one window of the
   // published read floor.
   inc.Reseed(prev_start, prev_end, agg);
-  EmitGroup(s, query, begin, end);
+  EmitGroup(s, query, ks.key, done_ns / 1000);
   s.columnar_bases += num_bases;
   ++s.columnar_groups;
 }
 
-void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
-                                       QueryRuntime& query, QuerySlot& slot,
-                                       Key key, size_t begin, size_t end) {
+void ScaleOijEngine::JoinGroupColumnar(JoinerState& s, QueryRuntime& query,
+                                       KeyState& ks,
+                                       const std::vector<uint32_t>& team) {
   const QuerySpec& qspec = query.spec;
-  const size_t num_bases = end - begin;
+  const size_t num_bases = s.run.size();
 
-  // Engagement gate: a group too small to amortize its gather replays
+  // Engagement gate: a run too small to amortize its gather replays
   // through the scalar kernel, like the NaN fallback below.
   if (num_bases < options().columnar_min_group) {
-    for (size_t i = begin; i < end; ++i) {
-      JoinOne(joiner, s, query, slot, s.stage.SortedTuple(i),
-              s.stage.SortedArrival(i));
-    }
+    for (const PendingBase& base : s.run) JoinOne(s, query, ks, team, base);
     return;
   }
 
-  const uint32_t p =
-      PartitionTable::PartitionOf(key, options().num_partitions);
-  const std::vector<uint32_t>& team = s.schedule->teams[p];
   const bool scan_annex = ScanAnnex(qspec);
   const double nan = std::numeric_limits<double>::quiet_NaN();
 
-  // The group's base timestamps, sorted (stable key sort kept pop
-  // order), and the union of their windows.
+  // The run's base timestamps (popped in ts order) and the union of
+  // their windows.
   s.group_ts.resize(num_bases);
-  for (size_t i = 0; i < num_bases; ++i) {
-    s.group_ts[i] = s.stage.SortedTs(begin + i);
-  }
+  for (size_t i = 0; i < num_bases; ++i) s.group_ts[i] = s.run[i].ts;
   const Timestamp lo = qspec.window.start_for(s.group_ts[0]);
   const Timestamp hi = qspec.window.end_for(s.group_ts[num_bases - 1]);
 
@@ -570,10 +568,10 @@ void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
       EpochGuard guard(ebr_, s.ebr_slot);
       auto touch = [&](const Tuple& t) { s.cache_probe.Touch(&t); };
       for (uint32_t m : team) {
-        gathered += col::GatherRange(states_[m]->index, key, lo, hi,
+        gathered += col::GatherRange(states_[m]->index, ks.key, lo, hi,
                                      &s.probes, touch);
         if (scan_annex) {
-          gathered += col::GatherRange(states_[m]->annex, key, lo, hi,
+          gathered += col::GatherRange(states_[m]->annex, ks.key, lo, hi,
                                        &s.probes, touch);
         }
       }
@@ -585,10 +583,7 @@ void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
     // NaN/Inf payloads would diverge under the SIMD min/max lanes;
     // replay this group through the scalar path instead.
     ++s.columnar_fallbacks;
-    for (size_t i = begin; i < end; ++i) {
-      JoinOne(joiner, s, query, slot, s.stage.SortedTuple(i),
-              s.stage.SortedArrival(i));
-    }
+    for (const PendingBase& base : s.run) JoinOne(s, query, ks, team, base);
     return;
   }
 
@@ -633,13 +628,12 @@ void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
       ++s.recomputes;
     }
   }
-  if (incremental) {
+  if (incremental && ks.ni) {
     // The Two-Stacks FIFO (if armed) no longer matches the last scalar
     // window; force its next slide to recompute.
-    auto it = slot.ni_states.find(key);
-    if (it != slot.ni_states.end()) it->second.Invalidate();
+    ks.ni->Invalidate();
   }
-  EmitGroup(s, query, begin, end);
+  EmitGroup(s, query, ks.key, MonotonicNowUs());
 
   // The team's indexes were walked once for the whole group, not once
   // per base.
@@ -648,19 +642,21 @@ void ScaleOijEngine::JoinGroupColumnar(uint32_t joiner, JoinerState& s,
   ++s.columnar_groups;
 }
 
-void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query,
-                               size_t begin, size_t end) {
-  for (size_t i = begin; i < end; ++i) {
-    const GroupResult& r = s.group_out[i - begin];
-    EmitOne(s, query, s.stage.SortedTuple(i), s.stage.SortedArrival(i),
-            r.value, r.count, r.sum, r.min, r.max);
+void ScaleOijEngine::EmitGroup(JoinerState& s, QueryRuntime& query, Key key,
+                               int64_t emit_us) {
+  for (size_t i = 0; i < s.run.size(); ++i) {
+    const PendingBase& base = s.run[i];
+    const GroupResult& r = s.group_out[i];
+    EmitOne(s, query, Tuple{base.ts, key, base.payload}, base.arrival_us,
+            emit_us, r.value, r.count, r.sum, r.min, r.max);
   }
 }
 
 void ScaleOijEngine::EmitOne(JoinerState& s, QueryRuntime& query,
                              const Tuple& base, int64_t arrival_us,
-                             double value, uint64_t count, double out_sum,
-                             double out_min, double out_max) {
+                             int64_t emit_us, double value, uint64_t count,
+                             double out_sum, double out_min,
+                             double out_max) {
   JoinResult result;
   result.base = base;
   result.aggregate = value;
@@ -669,8 +665,8 @@ void ScaleOijEngine::EmitOne(JoinerState& s, QueryRuntime& query,
   result.min = out_min;
   result.max = out_max;
   result.arrival_us = arrival_us;
-  result.emit_us = MonotonicNowUs();
-  s.latency.Record(result.emit_us - arrival_us);
+  result.emit_us = emit_us;
+  s.latency.Record(emit_us - arrival_us);
   EmitResult(query, result);
 }
 
@@ -715,10 +711,10 @@ bool ScaleOijEngine::CollectSnapshotState(uint32_t joiner,
   });
   std::vector<Tuple> bases;
   for (const QuerySlot& qs : s.slots) {
-    auto pending = qs.pending;
-    while (!pending.empty()) {
-      bases.push_back(pending.top().tuple);
-      pending.pop();
+    for (const auto& [key, ks] : qs.keys) {
+      for (const PendingBase& base : ks.pending) {
+        bases.push_back(Tuple{base.ts, key, base.payload});
+      }
     }
   }
   auto tuple_key = [](const Tuple& t) {

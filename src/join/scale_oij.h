@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <queue>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -34,9 +36,16 @@ namespace oij {
 ///     (Figs 13/14).
 ///  3. *Incremental window aggregation*: per (joiner, key) running
 ///     aggregates slide by Subtract-on-Evict, so overlapping windows share
-///     work (Fig 16). With the columnar path on, each drained key-group
+///     work (Fig 16). With the columnar path on, each key's ready run
 ///     slides with forward cursors (the delta sweep) instead of
 ///     re-seeking the index per base.
+///
+/// Pending bases are queued per key, next to the key's running windows:
+/// each key holds a ts min-heap, and a per-query heads queue orders the
+/// keys by their oldest pending base. A drain visits keys in head order,
+/// gates each key once, and hands its ready prefix straight to that
+/// key's kernel, so no step orders bases across keys and a key whose
+/// team lags holds back only its own bases.
 ///
 /// Cross-thread protocol. Each joiner publishes `progress` — the event
 /// time through which it has durably processed its queue (its last
@@ -54,9 +63,10 @@ namespace oij {
 ///
 /// Eviction. Each joiner additionally publishes a monotone `read_floor`:
 /// a lower bound on every index timestamp it may still scan, derived from
-/// min(last watermark, oldest pending base) minus the window reach plus
-/// one extra window for incremental subtract-scans (which, by the overlap
-/// precondition, reach at most one window below their next window start).
+/// min(last watermark, top of each heads queue — never above the oldest
+/// pending base) minus the window reach plus one extra window for
+/// incremental subtract-scans (which, by the overlap precondition, reach
+/// at most one window below their next window start).
 /// Owners unlink index prefixes strictly below min(read_floor) over all
 /// joiners; unlinked nodes are freed via EBR once every reader epoch
 /// drains, so scans already in flight stay memory-safe.
@@ -81,13 +91,36 @@ class ScaleOijEngine : public ParallelEngineBase {
                             std::vector<StreamEvent>* out) override;
 
  private:
+  /// A base awaiting finalization; its key is its KeyState's.
   struct PendingBase {
-    Tuple tuple;
+    Timestamp ts;
+    double payload;
     int64_t arrival_us;
 
-    bool operator>(const PendingBase& other) const {
-      return tuple.ts > other.tuple.ts;
-    }
+    bool operator>(const PendingBase& other) const { return ts > other.ts; }
+  };
+
+  /// One key's finalization state within a query slot: its pending bases
+  /// as a ts min-heap (std::greater order), next to its running windows
+  /// (Subtract-on-Evict for invertible aggregates, Two-Stacks for
+  /// min/max).
+  struct KeyState {
+    Key key = 0;
+    std::vector<PendingBase> pending;
+    /// Bumped whenever the key's entry in the slot's heads queue is
+    /// superseded; an entry with an older generation is stale.
+    uint64_t gen = 0;
+    IncrementalWindowState inc;
+    std::optional<NonInvertibleWindowState> ni;
+  };
+
+  /// A key's oldest pending timestamp, as queued when it became the head.
+  struct HeadEntry {
+    Timestamp ts;
+    uint64_t gen;
+    KeyState* key;
+
+    bool operator>(const HeadEntry& other) const { return ts > other.ts; }
   };
 
   /// Per-(joiner, query) runtime state, indexed by query ordinal. Every
@@ -95,14 +128,19 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// finalization) and its own incremental window states, but all of
   /// them read the one shared time-travel index.
   struct QuerySlot {
-    std::priority_queue<PendingBase, std::vector<PendingBase>,
-                        std::greater<PendingBase>>
-        pending;
-    /// Per-key running windows: Subtract-on-Evict for invertible
-    /// aggregates, Two-Stacks for non-invertible ones (min/max).
-    std::unordered_map<Key, IncrementalWindowState> inc_states;
-    std::unordered_map<Key, NonInvertibleWindowState> ni_states;
+    /// Node-based, so the KeyState pointers in `heads` stay valid.
+    std::unordered_map<Key, KeyState> keys;
+    /// One live entry per key with pending bases, carrying that key's
+    /// oldest pending ts; stale entries are skipped when popped. Its top
+    /// is therefore never above the oldest pending base.
+    std::priority_queue<HeadEntry, std::vector<HeadEntry>,
+                        std::greater<HeadEntry>>
+        heads;
+    uint64_t pending = 0;  ///< bases pending over all keys
   };
+  // `slots` grows while keys are queued; a copying resize would leave
+  // `heads` pointing into the old maps.
+  static_assert(std::is_nothrow_move_constructible_v<QuerySlot>);
 
   /// One team member's forward cursors over a key's second layer: `lo`
   /// at the first tuple >= the running window's start, `hi` at the first
@@ -128,7 +166,6 @@ class ScaleOijEngine : public ParallelEngineBase {
         : ebr_slot(slot),
           index(ebr, slot, seed, arena),
           annex(ebr, slot, seed ^ 0xa22e7ULL, /*arena=*/nullptr),
-          stage(arena),
           probes(arena) {
       slots.resize(1);  // ordinal 0: the primary query
     }
@@ -144,11 +181,20 @@ class ScaleOijEngine : public ParallelEngineBase {
     std::vector<QuerySlot> slots;  ///< indexed by query ordinal
     std::shared_ptr<const Schedule> schedule;  // joiner-local snapshot
 
+    /// The ready prefix of the key being finalized, in ts order.
+    std::vector<PendingBase> run;
+    /// Heads entries set aside during a drain (keys whose team lags, or
+    /// keys with bases left), re-queued once it ends.
+    std::vector<HeadEntry> deferred;
+    /// Pending-base storage of keys that drained empty, handed to the
+    /// next key that needs some, so per-key heaps recycle their capacity
+    /// instead of reallocating.
+    std::vector<std::vector<PendingBase>> spare_pending;
+
     /// Columnar batch kernel scratch (src/col/, reused across drains).
-    /// With pooled_alloc the columns stage on slabs loaned from this
-    /// joiner's own arena, so evicted index slabs recycle straight into
-    /// batch staging.
-    col::ColumnarBatchStage stage;
+    /// With pooled_alloc the probe columns gather onto slabs loaned from
+    /// this joiner's own arena, so evicted index slabs recycle straight
+    /// into them.
     col::ProbeColumns probes;
     std::vector<col::BaseSlice> slices;
     std::vector<Timestamp> group_ts;
@@ -201,39 +247,39 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// Smallest published read floor over all joiners (eviction bound).
   Timestamp GlobalMinReadFloor() const;
 
-  /// Whether `base` may finalize: its window end is covered by the
-  /// published progress of every team member and of this joiner.
-  bool Ready(const JoinerState& s, const QuerySpec& qspec,
-             const PendingBase& base) const;
-  /// Finalizes every ready base; returns whether any was finalized.
+  /// Queues `base` on its key's pending heap in `slot`.
+  void AddPending(JoinerState& s, QuerySlot& slot, const Tuple& base,
+                  int64_t arrival_us);
+  /// Finalizes every ready base, key by key in head order; returns
+  /// whether any was finalized.
   bool DrainPending(uint32_t joiner, JoinerState& s);
   /// True when `qspec` must also scan the late annex (best-effort query
   /// after any late probe was admitted).
   bool ScanAnnex(const QuerySpec& qspec) const;
-  void JoinOne(uint32_t joiner, JoinerState& s, QueryRuntime& query,
-               QuerySlot& slot, const Tuple& base, int64_t arrival_us);
-  /// Delta sweep for invertible incremental aggregates: joins one
-  /// key-group of the staged run (positions [begin, end) of the sorted
-  /// stage) with two forward cursors per team member, running exactly
-  /// the Subtract/Add sequence IncrementalWindowState::Slide would run
-  /// base by base, then hands the last window back via Reseed.
-  void JoinGroupSweep(JoinerState& s, QueryRuntime& query, QuerySlot& slot,
-                      Key key, size_t begin, size_t end);
-  /// Columnar path for min/max and full-scan groups: joins one key-group
-  /// with one gather from the team's indexes + one slice sweep, instead
-  /// of one index descent per base. Invalidates the key's Two-Stacks
-  /// state so an interleaved scalar slide recomputes.
-  void JoinGroupColumnar(uint32_t joiner, JoinerState& s,
-                         QueryRuntime& query, QuerySlot& slot, Key key,
-                         size_t begin, size_t end);
-  /// Emits the group kernels' results for sorted stage positions
-  /// [begin, end) from `group_out`.
-  void EmitGroup(JoinerState& s, QueryRuntime& query, size_t begin,
-                 size_t end);
+  void JoinOne(JoinerState& s, QueryRuntime& query, KeyState& ks,
+               const std::vector<uint32_t>& team, const PendingBase& base);
+  /// Delta sweep for invertible incremental aggregates: joins the key's
+  /// ready run (`s.run`) with two forward cursors per team member,
+  /// running exactly the Subtract/Add sequence
+  /// IncrementalWindowState::Slide would run base by base, then hands the
+  /// last window back via Reseed.
+  void JoinGroupSweep(JoinerState& s, QueryRuntime& query, KeyState& ks,
+                      const std::vector<uint32_t>& team);
+  /// Columnar path for min/max and full-scan runs: joins the key's ready
+  /// run (`s.run`) with one gather from the team's indexes + one slice
+  /// sweep, instead of one index descent per base. Invalidates the key's
+  /// Two-Stacks state so an interleaved scalar slide recomputes.
+  void JoinGroupColumnar(JoinerState& s, QueryRuntime& query, KeyState& ks,
+                         const std::vector<uint32_t>& team);
+  /// Emits the group kernels' results for `key`'s run `s.run` from
+  /// `group_out`, all stamped `emit_us`.
+  void EmitGroup(JoinerState& s, QueryRuntime& query, Key key,
+                 int64_t emit_us);
   /// Shared result-emission tail of every join path.
   void EmitOne(JoinerState& s, QueryRuntime& query, const Tuple& base,
-               int64_t arrival_us, double value, uint64_t count,
-               double out_sum, double out_min, double out_max);
+               int64_t arrival_us, int64_t emit_us, double value,
+               uint64_t count, double out_sum, double out_min,
+               double out_max);
   void Evict(JoinerState& s);
   bool HavePending(const JoinerState& s) const;
 

@@ -356,7 +356,7 @@ std::string RenderPrometheusMetrics(const AdminSnapshot& snap) {
     // Summary gauges alongside the histogram; the Percentile <= max
     // invariant established in the recorder carries through verbatim.
     for (double q : {0.5, 0.9, 0.99}) {
-      char qbuf[8];
+      char qbuf[16];  // the longest %g output, "-1.23457e+308", fits
       std::snprintf(qbuf, sizeof(qbuf), "%g", q);
       w.Gauge("oij_result_latency_quantile_us",
               "Result latency summary quantiles",

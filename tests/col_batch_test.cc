@@ -16,17 +16,25 @@
 //     shared teams, keys missing from a member, gaps wider than the
 //     window, equal-ts window edges, FOL > 0, single-base drains, and
 //     sum/count/avg under every late policy.
+//   * Scale-OIJ's per-key pending runs: superseded key heads, equal
+//     timestamps within a key, a lagging team member, two windows over
+//     the same keys, eager emit, and snapshot recovery with many keys
+//     pending — each bit-identical to the scalar path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -34,6 +42,7 @@
 #include "col/sweep_merge.h"
 #include "col/vector_agg.h"
 #include "common/clock.h"
+#include "common/fault_injector.h"
 #include "core/engine_factory.h"
 #include "join/reference_join.h"
 #include "join/watermark.h"
@@ -644,6 +653,29 @@ EngineOptions SharedTeamOptions(bool columnar) {
   return options;
 }
 
+/// The columnar run's results must equal the scalar run's bit for bit
+/// (both sorted by base).
+void ExpectBitIdentical(const std::vector<ReferenceResult>& on,
+                        const std::vector<ReferenceResult>& off,
+                        const std::string& label) {
+  EXPECT_EQ(on.size(), off.size()) << label;
+  size_t mismatches = 0;
+  for (size_t i = 0; i < std::min(on.size(), off.size()); ++i) {
+    const ReferenceResult& a = on[i];
+    const ReferenceResult& b = off[i];
+    if (a.base != b.base || a.match_count != b.match_count ||
+        std::bit_cast<uint64_t>(a.aggregate) !=
+            std::bit_cast<uint64_t>(b.aggregate)) {
+      if (++mismatches <= 3) {
+        ADD_FAILURE() << label << ": on/off differ at base ts=" << a.base.ts
+                      << " key=" << a.base.key << ": " << a.aggregate
+                      << " vs " << b.aggregate;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << label << "/on-vs-off bits";
+}
+
 /// Runs `events` through Scale-OIJ with the columnar path on and off.
 /// The on run must sweep every base and agree with the off run bit for
 /// bit; both must match the policy-aware oracle within tolerance.
@@ -664,24 +696,7 @@ EngineStats ExpectSweepMatchesScalar(const std::vector<StreamEvent>& events,
   EXPECT_GT(on.stats.rebalances, 0u) << label << ": team never grew";
   EXPECT_EQ(on.stats.visited, off.stats.visited) << label;
   EXPECT_EQ(on.stats.matched, off.stats.matched) << label;
-
-  EXPECT_EQ(on.results.size(), off.results.size()) << label;
-  size_t mismatches = 0;
-  for (size_t i = 0; i < std::min(on.results.size(), off.results.size());
-       ++i) {
-    const ReferenceResult& a = on.results[i];
-    const ReferenceResult& b = off.results[i];
-    if (a.base != b.base || a.match_count != b.match_count ||
-        std::bit_cast<uint64_t>(a.aggregate) !=
-            std::bit_cast<uint64_t>(b.aggregate)) {
-      if (++mismatches <= 3) {
-        ADD_FAILURE() << label << ": on/off differ at base ts=" << a.base.ts
-                      << " key=" << a.base.key << ": " << a.aggregate
-                      << " vs " << b.aggregate;
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0u) << label << "/on-vs-off bits";
+  ExpectBitIdentical(on.results, off.results, label);
   return on.stats;
 }
 
@@ -1049,6 +1064,290 @@ TEST(ColumnarEngineTest, RecoveryReplayExactWithColumnarOn) {
     }
     EXPECT_EQ(mismatches, 0u) << label;
   }
+}
+
+
+// ---------------------------------- per-key pending runs (Scale-OIJ)
+
+/// Runs `events` through Scale-OIJ under `options` with the columnar path
+/// on and off: both must match the policy-aware oracle, and each other
+/// bit for bit. Returns the on run's stats.
+EngineStats ExpectOnOffBitsAndOracle(const std::vector<StreamEvent>& events,
+                                     const QuerySpec& q, uint64_t wm_every,
+                                     EngineOptions options,
+                                     const std::string& label) {
+  auto expected = ReferenceJoinWithPolicy(events, q, wm_every);
+  SortResults(&expected);
+  options.columnar_batch = true;
+  const auto on =
+      RunOverEvents(EngineKind::kScaleOij, events, q, options, wm_every);
+  options.columnar_batch = false;
+  const auto off =
+      RunOverEvents(EngineKind::kScaleOij, events, q, options, wm_every);
+  ExpectResultsEqual(on.results, expected, label + "/on-vs-oracle");
+  ExpectResultsEqual(off.results, expected, label + "/off-vs-oracle");
+  ExpectBitIdentical(on.results, off.results, label);
+  EXPECT_GT(on.stats.columnar_groups, 0u) << label;
+  return on.stats;
+}
+
+TEST(PendingRunTest, OutOfOrderBasesSupersedeKeyHeadsManyTimes) {
+  // Each block's bases arrive newest first, so every one becomes its
+  // key's new oldest pending base and leaves a stale heads entry behind;
+  // every fifth timestamp also carries a base for a second key.
+  std::mt19937_64 rng(0x0dd5u);
+  std::vector<StreamEvent> events;
+  constexpr Timestamp kBlock = 48;
+  for (Timestamp b = 0; b < 9'600; b += kBlock) {
+    for (Timestamp t = b; t < b + kBlock; ++t) {
+      events.push_back(MakeEvent(StreamId::kProbe, t,
+                                 static_cast<Key>(t % 3), RoughPayload(rng)));
+    }
+    for (Timestamp t = b + kBlock - 1; t >= b; --t) {
+      events.push_back(
+          MakeEvent(StreamId::kBase, t, static_cast<Key>(t % 3), 1.0));
+      if (t % 5 == 0) {
+        events.push_back(
+            MakeEvent(StreamId::kBase, t, static_cast<Key>((t + 1) % 3), 2.0));
+      }
+    }
+  }
+  // The lateness covers a block, so no base is late.
+  const QuerySpec q = TestQuery(AggKind::kSum, 2 * kBlock, {100, 10});
+  for (uint64_t wm_every : {uint64_t{7}, uint64_t{64}}) {
+    ExpectOnOffBitsAndOracle(events, q, wm_every, SharedTeamOptions(true),
+                             "superseded/wm" + std::to_string(wm_every));
+  }
+
+  // A base 250 us older than the one its key queued first. Its window
+  // end passes the watermark long before the newer base's does, and the
+  // newer base alone would let the read floor evict the older window: it
+  // must finalize on time and hold the floor down until it has.
+  std::vector<StreamEvent> far;
+  for (Timestamp t = 0; t < 8'000; ++t) {
+    far.push_back(MakeEvent(StreamId::kProbe, t, 0, RoughPayload(rng)));
+    if (t % 400 == 300) {
+      far.push_back(MakeEvent(StreamId::kBase, t, 0, 1.0));
+      far.push_back(MakeEvent(StreamId::kBase, t - 250, 0, 2.0));
+    }
+  }
+  EngineOptions one_joiner;
+  one_joiner.num_joiners = 1;
+  ExpectOnOffBitsAndOracle(far, TestQuery(AggKind::kSum, 400, {20, 100}), 8,
+                           one_joiner, "superseded/far-older");
+}
+
+TEST(PendingRunTest, EqualTimestampsWithinAndAcrossKeys) {
+  // Four bases share each timestamp (two keys, two copies each) and
+  // arrive shuffled within their block, so a key's heap holds runs of
+  // equal timestamps in arbitrary order; probes share the grid.
+  std::mt19937_64 rng(0xe9a1u);
+  std::vector<StreamEvent> events;
+  constexpr Timestamp kBlock = 40;
+  for (Timestamp b = 0; b < 8'000; b += kBlock) {
+    std::vector<StreamEvent> bases;
+    for (Timestamp t = b; t < b + kBlock; t += 4) {
+      for (Key k = 0; k < 2; ++k) {
+        events.push_back(MakeEvent(StreamId::kProbe, t, k, RoughPayload(rng)));
+        bases.push_back(MakeEvent(StreamId::kBase, t, k, 1.0));
+        bases.push_back(MakeEvent(StreamId::kBase, t, k, 2.0));
+      }
+    }
+    std::shuffle(bases.begin(), bases.end(), rng);
+    events.insert(events.end(), bases.begin(), bases.end());
+  }
+  for (IntervalWindow window : {IntervalWindow{20, 0}, IntervalWindow{12, 8}}) {
+    const QuerySpec q = TestQuery(AggKind::kAvg, 2 * kBlock, window);
+    ExpectOnOffBitsAndOracle(events, q, 16, SharedTeamOptions(true),
+                             "equal-ts/pre" + std::to_string(window.pre) +
+                                 "+fol" + std::to_string(window.fol));
+  }
+}
+
+TEST(PendingRunTest, LaggingTeamMemberWhileOtherKeysAreReady) {
+  // Joiner 1 sleeps before every event, so the teams it belongs to trail
+  // the others. Skewed keys grow some partitions' teams and leave others
+  // single-member: keys whose team is ready finalize while the lagging
+  // teams' keys wait, and no base finalizes before its whole team has
+  // passed its window end.
+  std::mt19937_64 rng(0x5109u);
+  std::vector<StreamEvent> events;
+  for (Timestamp t = 0; t < 6'000; ++t) {
+    const Key hot = static_cast<Key>(std::min(rng() % 12, rng() % 12));
+    events.push_back(MakeEvent(StreamId::kProbe, t, hot, RoughPayload(rng)));
+    if (t % 2 == 0) {
+      events.push_back(
+          MakeEvent(StreamId::kBase, t, static_cast<Key>(rng() % 12), 1.0));
+    }
+  }
+  FaultInjector faults;
+  faults.slow_joiner = 1;
+  faults.slow_delay_us = 10;
+  EngineOptions options;
+  options.num_joiners = 3;
+  options.num_partitions = 6;
+  options.rebalance_interval_events = 256;
+  options.fault_injector = &faults;
+  const EngineStats stats = ExpectOnOffBitsAndOracle(
+      events, TestQuery(AggKind::kSum, /*lateness=*/0, {300, 0}), 64,
+      options, "lagging");
+  EXPECT_GT(stats.rebalances, 0u) << "no team ever grew";
+}
+
+TEST(PendingRunTest, TwoQueriesWithDifferentWindowsOverTheSameKeys) {
+  // Each query queues the same bases per key under its own window end,
+  // so the narrow query's keys come due before the wide one's.
+  const WorkloadSpec w = TestWorkload(391, /*keys=*/6);
+  const auto events = Generate(w);
+  const std::vector<QuerySpec> specs = {
+      TestQuery(AggKind::kSum, 50, {400, 0}),
+      TestQuery(AggKind::kSum, 50, {60, 40})};
+
+  std::vector<std::vector<ReferenceResult>> by_query[2];
+  for (bool columnar : {true, false}) {
+    CollectingSink sink;
+    auto engine = CreateEngine(EngineKind::kScaleOij, specs[0],
+                               SharedTeamOptions(columnar), &sink);
+    ASSERT_TRUE(engine->Start().ok());
+    ASSERT_TRUE(engine->AddQuery("narrow", specs[1]).ok());
+    WatermarkTracker tracker(specs[0].lateness_us);
+    uint64_t n = 0;
+    for (const StreamEvent& ev : events) {
+      tracker.Observe(ev.tuple.ts);
+      engine->Push(ev, MonotonicNowUs());
+      if (++n % kWmEvery == 0) engine->SignalWatermark(tracker.watermark());
+    }
+    const EngineStats stats = engine->Finish();
+    if (columnar) {
+      EXPECT_GT(stats.columnar_groups, 0u);
+    }
+    auto& results = by_query[columnar ? 0 : 1];
+    results.resize(specs.size());
+    for (const JoinResult& r : sink.TakeResults()) {
+      ASSERT_LT(r.query, specs.size());
+      results[r.query].push_back({r.base, r.aggregate, r.match_count});
+    }
+    for (auto& query_results : results) SortResults(&query_results);
+  }
+  for (size_t ord = 0; ord < specs.size(); ++ord) {
+    auto expected = ReferenceJoinWithPolicy(events, specs[ord], kWmEvery);
+    SortResults(&expected);
+    const std::string label = "query" + std::to_string(ord);
+    ExpectResultsEqual(by_query[0][ord], expected, label + "/on-vs-oracle");
+    ExpectResultsEqual(by_query[1][ord], expected, label + "/off-vs-oracle");
+    ExpectBitIdentical(by_query[0][ord], by_query[1][ord], label);
+  }
+}
+
+TEST(PendingRunTest, EagerEmitAcrossKeysAndKernels) {
+  // Eager emit drains after every tuple, key by key. On an in-order
+  // stream with unique timestamps it is exact. Max runs through the
+  // gather kernel on every run, however short.
+  WorkloadSpec w = TestWorkload(393, /*keys=*/6, /*disorder=*/0);
+  w.total_tuples = 8'000;
+  const auto events = Generate(w);
+  for (AggKind agg : {AggKind::kSum, AggKind::kMax}) {
+    QuerySpec q = TestQuery(agg, /*lateness=*/0, {200, 0});
+    q.emit_mode = EmitMode::kEager;
+    EngineOptions options = SharedTeamOptions(true);
+    options.columnar_min_group = 1;
+    ExpectOnOffBitsAndOracle(events, q, 128, options,
+                             "eager/" + std::string(AggKindName(agg)));
+  }
+}
+
+TEST(PendingRunTest, SnapshotRecoveryWithBasesPendingOnManyKeys) {
+  // A 1500 us lateness keeps about 1500 bases pending, spread over all
+  // 64 keys, at every snapshot and at the crash. The snapshot walks every
+  // key's queue; recovery restores the latest one and replays the log
+  // after it.
+  // Integer payloads keep every sum exact, so the union is bit-identical
+  // however the crash split results between the two incarnations.
+  constexpr Key kKeys = 64;
+  std::mt19937_64 rng(0x5a9u);
+  std::vector<StreamEvent> events;
+  for (Timestamp t = 0; t < 12'000; ++t) {
+    events.push_back(MakeEvent(StreamId::kProbe, t,
+                               static_cast<Key>(t % kKeys),
+                               static_cast<double>(rng() % 100)));
+    events.push_back(MakeEvent(StreamId::kBase, t,
+                               static_cast<Key>((t * 7 + 3) % kKeys), 1.0));
+  }
+  const QuerySpec q = TestQuery(AggKind::kSum, /*lateness=*/1'500, {400, 0});
+  constexpr uint64_t kRecoveryWmEvery = 128;
+  const size_t crash_at =
+      (events.size() / 2 / kRecoveryWmEvery) * kRecoveryWmEvery;
+  const Timestamp crash_ts = events[crash_at].tuple.ts;
+  auto expected = ReferenceJoinWithPolicy(events, q, kRecoveryWmEvery);
+  SortResults(&expected);
+
+  std::vector<ReferenceResult> unions[2];
+  for (bool columnar : {true, false}) {
+    const std::string label = columnar ? "on" : "off";
+    TempDir dir;
+    EngineOptions options = SharedTeamOptions(columnar);
+    options.durability.wal_dir = dir.path();
+    options.durability.fsync = FsyncPolicy::kPerBatch;
+    options.durability.snapshot_interval_records = 1'000;
+
+    WatermarkTracker tracker(q.lateness_us);
+    std::map<BaseKey, ReferenceResult> acc;
+    auto accumulate = [&acc](const std::vector<JoinResult>& results) {
+      for (const JoinResult& r : results) {
+        acc.emplace(BaseKey{r.base.ts, r.base.key, r.base.payload},
+                    ReferenceResult{r.base, r.aggregate, r.match_count});
+      }
+    };
+
+    CollectingSink sink1;
+    auto engine1 = CreateEngine(EngineKind::kScaleOij, q, options, &sink1);
+    ASSERT_TRUE(engine1->Start().ok()) << label;
+    uint64_t n = 0;
+    for (size_t i = 0; i < crash_at; ++i) {
+      tracker.Observe(events[i].tuple.ts);
+      engine1->Push(events[i], MonotonicNowUs());
+      if (++n % kRecoveryWmEvery == 0) {
+        engine1->SignalWatermark(tracker.watermark());
+      }
+    }
+    // Snapshots commit behind the joiners; crash only once one has, so
+    // the per-key queues were walked even when the joiners lag.
+    for (int i = 0; i < 2'000 && engine1->SampleWal().snapshots_taken == 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_GT(engine1->SampleWal().snapshots_taken, 0u) << label;
+    static_cast<ParallelEngineBase*>(engine1.get())->CrashForTest();
+    accumulate(sink1.TakeResults());
+
+    CollectingSink sink2;
+    auto engine2 = CreateEngine(EngineKind::kScaleOij, q, options, &sink2);
+    ASSERT_TRUE(engine2->Start().ok()) << label;
+    ASSERT_TRUE(engine2->Recover().ok()) << label;
+    for (size_t i = crash_at; i < events.size(); ++i) {
+      tracker.Observe(events[i].tuple.ts);
+      engine2->Push(events[i], MonotonicNowUs());
+      if (++n % kRecoveryWmEvery == 0) {
+        engine2->SignalWatermark(tracker.watermark());
+      }
+    }
+    engine2->Finish();
+    const std::vector<JoinResult> recovered = sink2.TakeResults();
+    std::set<Key> keys_pending_at_crash;
+    for (const JoinResult& r : recovered) {
+      if (r.base.ts < crash_ts) keys_pending_at_crash.insert(r.base.key);
+    }
+    EXPECT_EQ(keys_pending_at_crash.size(), kKeys) << label;
+    accumulate(recovered);
+
+    for (const auto& [key, result] : acc) {
+      unions[columnar ? 0 : 1].push_back(result);
+    }
+    SortResults(&unions[columnar ? 0 : 1]);
+    ExpectResultsEqual(unions[columnar ? 0 : 1], expected,
+                       label + "/vs-oracle");
+  }
+  ExpectBitIdentical(unions[0], unions[1], "recovery");
 }
 
 }  // namespace

@@ -386,7 +386,8 @@ TEST(EngineBehaviourTest, ScaleOijBreakdownFitsInBusyTime) {
   // Fig 6 accounting: Scale-OIJ charges layer lookups and seeks to
   // lookup and the window walk to match, both strictly inside the
   // joiner's busy time — including finalization run while the joiner's
-  // queue is empty (OnIdle) or flushing.
+  // queue is empty (OnIdle) or flushing. The scalar path (columnar off)
+  // times each base's whole scan as match, inside busy time too.
   for (EmitMode mode : {EmitMode::kWatermark, EmitMode::kEager}) {
     const bool eager = mode == EmitMode::kEager;
     WorkloadSpec w = TestWorkload(131, /*keys=*/4, eager ? 0 : 50);
@@ -402,6 +403,13 @@ TEST(EngineBehaviourTest, ScaleOijBreakdownFitsInBusyTime) {
     EXPECT_GT(b.lookup_ns, 0) << label;
     EXPECT_GT(b.match_ns, 0) << label;
     EXPECT_LE(b.lookup_ns + b.match_ns, b.busy_ns) << label;
+
+    options.columnar_batch = false;
+    const auto scalar =
+        RunOverEvents(EngineKind::kScaleOij, events, q, options);
+    const TimeBreakdown& sb = scalar.stats.breakdown;
+    EXPECT_GT(sb.match_ns, 0) << label << "/scalar";
+    EXPECT_LE(sb.lookup_ns + sb.match_ns, sb.busy_ns) << label << "/scalar";
   }
 }
 
