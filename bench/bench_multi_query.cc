@@ -95,7 +95,8 @@ int main() {
         CreateEngine(EngineKind::kScaleOij, specs[0], options, &shared_sink);
     if (!shared->Start().ok()) return 1;
     for (size_t i = 1; i < n; ++i) {
-      if (!shared->AddQuery("q" + std::to_string(i), specs[i]).ok()) return 1;
+      const std::string name = std::string("q").append(std::to_string(i));
+      if (!shared->AddQuery(name, specs[i]).ok()) return 1;
     }
     const double shared_tps = tuples / DriveSeconds(shared.get(), events,
                                                     specs[0].lateness_us);

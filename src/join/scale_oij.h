@@ -161,12 +161,12 @@ class ScaleOijEngine : public ParallelEngineBase {
   };
 
   struct JoinerState {
-    JoinerState(EpochManager* ebr, uint32_t slot, uint64_t seed,
-                NodeArena* arena)
+    JoinerState(NodeArena& arena, EpochManager* ebr, uint32_t slot,
+                uint64_t seed)
         : ebr_slot(slot),
-          index(ebr, slot, seed, arena),
-          annex(ebr, slot, seed ^ 0xa22e7ULL, /*arena=*/nullptr),
-          probes(arena) {
+          index(arena, ebr, slot, seed),
+          annex(arena, ebr, slot, seed ^ 0xa22e7ULL),
+          probes(&arena) {
       slots.resize(1);  // ordinal 0: the primary query
     }
 
@@ -175,8 +175,9 @@ class ScaleOijEngine : public ParallelEngineBase {
     /// Annex index for lateness-violating probes (multi-query mode with
     /// at least one best-effort query). Only best-effort queries scan
     /// it, so drop/side-channel queries keep exact, late-free windows
-    /// over the main index. Heap-allocated (no arena): the late path is
-    /// rare by construction.
+    /// over the main index. Shares the joiner's arena with `index`: both
+    /// have the same single owner, which alone allocates, evicts and
+    /// reclaims into it.
     TimeTravelIndex annex;
     std::vector<QuerySlot> slots;  ///< indexed by query ordinal
     std::shared_ptr<const Schedule> schedule;  // joiner-local snapshot
@@ -192,9 +193,8 @@ class ScaleOijEngine : public ParallelEngineBase {
     std::vector<std::vector<PendingBase>> spare_pending;
 
     /// Columnar batch kernel scratch (src/col/, reused across drains).
-    /// With pooled_alloc the probe columns gather onto slabs loaned from
-    /// this joiner's own arena, so evicted index slabs recycle straight
-    /// into them.
+    /// The probe columns gather onto slabs loaned from this joiner's own
+    /// arena, so evicted index slabs recycle straight into them.
     col::ProbeColumns probes;
     std::vector<col::BaseSlice> slices;
     std::vector<Timestamp> group_ts;
@@ -283,10 +283,10 @@ class ScaleOijEngine : public ParallelEngineBase {
   void Evict(JoinerState& s);
   bool HavePending(const JoinerState& s) const;
 
-  /// Joiner-owned slab arenas (pooled_alloc; empty otherwise). Declared
-  /// before ebr_ and states_: destruction runs states_ (frees live nodes
-  /// into the arenas), then ebr_ (drains retired runs into them), then the
-  /// arenas themselves — matching NodeArena's lifetime contract.
+  /// Joiner-owned slab arenas, one per joiner. Declared before ebr_ and
+  /// states_: destruction runs states_ (frees live nodes into the
+  /// arenas), then ebr_ (drains retired runs into them), then the arenas
+  /// themselves — matching NodeArena's lifetime contract.
   std::vector<std::unique_ptr<NodeArena>> arenas_;
   EpochManager ebr_;
   PartitionTable table_;

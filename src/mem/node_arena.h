@@ -8,15 +8,15 @@
 
 namespace oij {
 
-/// Slab arena for skip-list nodes — the memory-management layer behind
-/// `EngineOptions::pooled_alloc` (DESIGN.md "Memory management").
+/// Slab arena for skip-list nodes — the only allocator behind the
+/// time-travel index (DESIGN.md "Memory management").
 ///
-/// Why: at steady state every probe tuple costs one global-heap
-/// `::operator new` on insert and one free on evict, so the allocator is
-/// touched twice per tuple on the hottest path in the system, and the
-/// nodes of one second-layer end up scattered across the heap. The arena
-/// replaces both touches with a bump pointer / free-list pop inside
-/// 64 KiB cache-line-aligned slabs owned by a single joiner, so
+/// Why: on the global heap every probe tuple would cost one
+/// `::operator new` on insert and one free on evict, so the allocator
+/// would be touched twice per tuple on the hottest path in the system,
+/// and the nodes of one second-layer would scatter across the heap. The
+/// arena replaces both touches with a bump pointer / free-list pop
+/// inside 64 KiB cache-line-aligned slabs owned by a single joiner, so
 /// consecutive inserts of a key land in adjacent memory and eviction
 /// recycles the same hot lines.
 ///

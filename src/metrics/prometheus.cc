@@ -35,7 +35,7 @@ std::string SanitizeMetricName(std::string_view name) {
   out.reserve(name.size() + 1);
   if (!name.empty() && name[0] >= '0' && name[0] <= '9') out.push_back('_');
   for (char c : name) out.push_back(NameChar(c) ? c : '_');
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 
@@ -96,7 +96,9 @@ void PrometheusWriter::Sample(const std::string& name,
     }
     text_ += "}";
   }
-  text_ += " " + RenderValue(value) + "\n";
+  text_ += ' ';
+  text_ += RenderValue(value);
+  text_ += '\n';
 }
 
 void PrometheusWriter::Counter(std::string_view name, std::string_view help,

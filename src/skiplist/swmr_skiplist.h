@@ -31,8 +31,8 @@ namespace oij {
 /// Eviction removes a *prefix* (everything below a bound). Removed nodes
 /// keep their forward pointers, which lead back into the retained suffix,
 /// so a reader that entered the prefix before the unlink finishes its scan
-/// correctly; the nodes themselves are handed to the EpochManager and freed
-/// only after every reader epoch has drained. Whether a reader is
+/// correctly; each evicted prefix is handed to the EpochManager as one run
+/// and freed only after every reader epoch has drained. Whether a reader is
 /// *guaranteed to find* data near the bound is a protocol question answered
 /// one level up (TimeTravelIndex / the joiners' published safe timestamps).
 template <typename K, typename V>
@@ -40,29 +40,18 @@ class SwmrSkipList {
  public:
   static constexpr int kMaxHeight = 16;
 
-  /// `ebr` + `owner_slot` are used to retire evicted nodes; pass nullptr
-  /// for single-threaded use (nodes are then freed immediately).
-  ///
-  /// `arena` (the `pooled_alloc` path) moves node storage off the global
-  /// heap onto the owner's slab arena and switches eviction from one
-  /// EpochManager::Retire per node to one RetireBatch per evicted run.
-  /// The arena must outlive both this list and `ebr` (see NodeArena's
-  /// lifetime contract); with arena == nullptr behaviour is byte-for-byte
-  /// the pre-arena heap path.
-  explicit SwmrSkipList(EpochManager* ebr = nullptr, uint32_t owner_slot = 0,
-                        uint64_t seed = 0x5eed, NodeArena* arena = nullptr)
-      : ebr_(ebr), owner_slot_(owner_slot), arena_(arena), rng_(seed) {
+  /// Every node lives on the owner's slab `arena`, which must outlive
+  /// both this list and `ebr` (see NodeArena's lifetime contract).
+  /// `ebr` + `owner_slot` retire each evicted prefix as one RetireBatch
+  /// run; pass nullptr `ebr` for single-threaded use (evicted nodes are
+  /// then freed immediately).
+  explicit SwmrSkipList(NodeArena& arena, EpochManager* ebr = nullptr,
+                        uint32_t owner_slot = 0, uint64_t seed = 0x5eed)
+      : ebr_(ebr), owner_slot_(owner_slot), arena_(&arena), rng_(seed) {
     head_ = NewNode(K{}, V{}, kMaxHeight);
   }
 
-  ~SwmrSkipList() {
-    Node* n = head_;
-    while (n != nullptr) {
-      Node* next = n->Next(0);
-      DeleteNode(n, arena_);
-      n = next;
-    }
-  }
+  ~SwmrSkipList() { FreeChain(head_, size() + 1, arena_); }
 
   SwmrSkipList(const SwmrSkipList&) = delete;
   SwmrSkipList& operator=(const SwmrSkipList&) = delete;
@@ -193,23 +182,16 @@ class SwmrSkipList {
 
     // Walk the removed prefix (still linked) and retire it. The prefix's
     // level-0 chain is left untouched — readers inside it still need the
-    // forward pointers — which also makes it a ready-made intrusive run:
-    // with an arena the whole prefix is retired as one RetireBatch entry
-    // instead of `removed` std::function deleters.
+    // forward pointers — which also makes it a ready-made intrusive run,
+    // retired as one RetireBatch entry.
     size_t removed = 0;
-    Node* n = old_first;
-    while (n != nullptr && n->key < bound) {
-      Node* next = n->Next(0);
+    for (Node* n = old_first; n != nullptr && n->key < bound; n = n->Next(0)) {
       on_remove(n->key, n->value);
-      if (ebr_ == nullptr) {
-        DeleteNode(n, arena_);
-      } else if (arena_ == nullptr) {
-        ebr_->Retire(owner_slot_, [n] { DeleteNode(n, nullptr); });
-      }
       ++removed;
-      n = next;
     }
-    if (ebr_ != nullptr && arena_ != nullptr && removed > 0) {
+    if (ebr_ == nullptr) {
+      FreeChain(old_first, removed, arena_);
+    } else {
       ebr_->RetireBatch(owner_slot_, old_first, removed, &DrainRetiredRun,
                         arena_);
     }
@@ -232,10 +214,7 @@ class SwmrSkipList {
 
  private:
   Node* NewNode(const K& key, const V& value, int height) {
-    const size_t bytes = NodeBytes(height);
-    void* mem =
-        arena_ != nullptr ? arena_->Allocate(bytes) : ::operator new(bytes);
-    Node* n = static_cast<Node*>(mem);
+    Node* n = static_cast<Node*>(arena_->Allocate(NodeBytes(height)));
     new (&n->key) K(key);
     new (&n->value) V(value);
     n->height = height;
@@ -245,30 +224,24 @@ class SwmrSkipList {
     return n;
   }
 
-  static void DeleteNode(Node* n, NodeArena* arena) {
-    const size_t bytes = NodeBytes(n->height);
-    n->key.~K();
-    n->value.~V();
-    if (arena != nullptr) {
+  /// Frees `count` nodes chained by their level-0 pointers, reading each
+  /// node's successor before freeing it. Walks exactly `count` nodes — an
+  /// evicted run's tail pointer leads into memory the run does not own
+  /// (the retained suffix, or a later-retired run).
+  static void FreeChain(Node* n, size_t count, NodeArena* arena) {
+    for (size_t i = 0; i < count; ++i) {
+      Node* next = n->Next(0);
+      const size_t bytes = NodeBytes(n->height);
+      n->key.~K();
+      n->value.~V();
       arena->Deallocate(static_cast<void*>(n), bytes);
-    } else {
-      ::operator delete(static_cast<void*>(n));
+      n = next;
     }
   }
 
-  /// EpochManager::DrainFn for a retired eviction run: the chain is the
-  /// prefix's own level-0 pointers, so read each node's successor before
-  /// freeing it. Walks exactly `count` nodes — the chain's tail pointer
-  /// leads into memory this run does not own (the retained suffix, or a
-  /// later-retired run).
+  /// EpochManager::DrainFn for a retired eviction run.
   static void DrainRetiredRun(void* head, size_t count, void* ctx) {
-    Node* n = static_cast<Node*>(head);
-    NodeArena* arena = static_cast<NodeArena*>(ctx);
-    for (size_t i = 0; i < count; ++i) {
-      Node* next = n->Next(0);
-      DeleteNode(n, arena);
-      n = next;
-    }
+    FreeChain(static_cast<Node*>(head), count, static_cast<NodeArena*>(ctx));
   }
 
   int RandomHeight() {

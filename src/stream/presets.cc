@@ -59,7 +59,7 @@ WorkloadSpec WorkloadC() {
 
 WorkloadSpec WorkloadD() {
   WorkloadSpec w = WorkloadA();
-  w.name = "D";
+  w.name = std::string("D");
   w.event_rate_per_sec = 15'000;
   w.pace_rate_per_sec = 15'000;
   // Same per-window density shape as A, scaled to the lower rate.

@@ -159,7 +159,7 @@ TEST(ColumnarBlockTest, TransposeRoundTripFuzz) {
     const size_t num_fields = 1 + rng() % 6;
     std::vector<Field> fields;
     for (size_t f = 0; f < num_fields; ++f) {
-      fields.push_back(Field{"f" + std::to_string(f),
+      fields.push_back(Field{std::string("f").append(std::to_string(f)),
                              kTypes[rng() % kTypes.size()]});
     }
     Schema schema(std::move(fields));
@@ -399,7 +399,8 @@ TEST(SweepMergeTest, EmptyProbesAndDisjointWindows) {
 
 TEST(SweepMergeTest, GatherRangeMatchesForEachInRange) {
   std::mt19937_64 rng(0x6a7eu);
-  TimeTravelIndex index;
+  NodeArena arena;
+  TimeTravelIndex index(arena);
   for (int i = 0; i < 2000; ++i) {
     Tuple t;
     t.key = static_cast<Key>(rng() % 5);

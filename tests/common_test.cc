@@ -337,7 +337,7 @@ TEST(TypesTest, ScopedTimerAccumulates) {
   {
     ScopedTimerNs t(&sink);
     volatile int x = 0;
-    for (int i = 0; i < 1000; ++i) x += i;
+    for (int i = 0; i < 1000; ++i) x = x + i;
   }
   EXPECT_GT(sink, 0);
   const int64_t first = sink;

@@ -15,18 +15,32 @@ TEST(EpochManagerTest, RegisterHandsOutDistinctSlots) {
   EXPECT_EQ(mgr.RegisterThread(), 2u);
 }
 
+/// DrainFn that counts drained objects into the `int` behind `ctx`.
+void CountDrain(void* /*head*/, size_t count, void* ctx) {
+  *static_cast<int*>(ctx) += static_cast<int>(count);
+}
+
+/// Retires a run of `count` placeholder objects whose drain bumps
+/// `*freed` by `count`; the tests here check when it runs, not what it
+/// frees.
+void RetireCounted(EpochManager& mgr, uint32_t slot, int* freed,
+                   size_t count = 1) {
+  static int placeholder = 0;
+  mgr.RetireBatch(slot, &placeholder, count, &CountDrain, freed);
+}
+
 TEST(EpochManagerTest, RetiredObjectFreedAfterEpochsAdvance) {
   EpochManager mgr(2);
   const uint32_t slot = mgr.RegisterThread();
-  bool freed = false;
-  mgr.Retire(slot, [&freed] { freed = true; });
+  int freed = 0;
+  RetireCounted(mgr, slot, &freed);
   EXPECT_EQ(mgr.PendingCount(slot), 1u);
 
   // With no active readers, a few reclaim passes advance the epoch twice.
   size_t total = 0;
   for (int i = 0; i < 4 && total == 0; ++i) total += mgr.ReclaimSome(slot);
   EXPECT_EQ(total, 1u);
-  EXPECT_TRUE(freed);
+  EXPECT_EQ(freed, 1);
   EXPECT_EQ(mgr.PendingCount(slot), 0u);
 }
 
@@ -36,16 +50,18 @@ TEST(EpochManagerTest, ActiveReaderBlocksReclamation) {
   const uint32_t reader = mgr.RegisterThread();
 
   mgr.Enter(reader);  // reader pins the current epoch
-  bool freed = false;
-  mgr.Retire(writer, [&freed] { freed = true; });
+  int freed = 0;
+  RetireCounted(mgr, writer, &freed, 3);
 
   for (int i = 0; i < 8; ++i) mgr.ReclaimSome(writer);
-  EXPECT_FALSE(freed) << "object freed while a reader was pinned";
+  EXPECT_EQ(freed, 0) << "run drained while a reader was pinned";
+  EXPECT_EQ(mgr.PendingCount(writer), 3u);
 
   mgr.Exit(reader);
   size_t total = 0;
   for (int i = 0; i < 8 && total == 0; ++i) total += mgr.ReclaimSome(writer);
-  EXPECT_TRUE(freed);
+  EXPECT_EQ(freed, 3);
+  EXPECT_EQ(mgr.PendingCount(writer), 0u);
 }
 
 TEST(EpochManagerTest, ReaderInNewerEpochDoesNotBlockOldGarbage) {
@@ -53,8 +69,8 @@ TEST(EpochManagerTest, ReaderInNewerEpochDoesNotBlockOldGarbage) {
   const uint32_t writer = mgr.RegisterThread();
   const uint32_t reader = mgr.RegisterThread();
 
-  bool freed = false;
-  mgr.Retire(writer, [&freed] { freed = true; });
+  int freed = 0;
+  RetireCounted(mgr, writer, &freed);
 
   // Reader enters *after* the retire: it pins the current (or newer)
   // epoch, so after two advances the old garbage is reclaimable even
@@ -64,16 +80,18 @@ TEST(EpochManagerTest, ReaderInNewerEpochDoesNotBlockOldGarbage) {
     mgr.ReclaimSome(writer);
     mgr.Exit(reader);
   }
-  EXPECT_TRUE(freed);
+  EXPECT_EQ(freed, 1);
 }
 
 TEST(EpochManagerTest, ReclaimAllUnsafeFreesEverything) {
   EpochManager mgr(2);
   const uint32_t slot = mgr.RegisterThread();
   int freed = 0;
-  for (int i = 0; i < 10; ++i) mgr.Retire(slot, [&freed] { ++freed; });
+  for (int i = 0; i < 10; ++i) RetireCounted(mgr, slot, &freed);
+  EXPECT_EQ(mgr.PendingCount(slot), 10u);
   EXPECT_EQ(mgr.ReclaimAllUnsafe(slot), 10u);
   EXPECT_EQ(freed, 10);
+  EXPECT_EQ(mgr.PendingCount(slot), 0u);
 }
 
 TEST(EpochManagerTest, DestructorDrainsPending) {
@@ -81,24 +99,26 @@ TEST(EpochManagerTest, DestructorDrainsPending) {
   {
     EpochManager mgr(2);
     const uint32_t slot = mgr.RegisterThread();
-    mgr.Retire(slot, [&freed] { ++freed; });
+    RetireCounted(mgr, slot, &freed);
+    RetireCounted(mgr, slot, &freed, 5);
+    EXPECT_EQ(mgr.PendingCount(slot), 6u);
   }
-  EXPECT_EQ(freed, 1);
+  EXPECT_EQ(freed, 6);
 }
 
 TEST(EpochManagerTest, GuardIsRaii) {
   EpochManager mgr(2);
   const uint32_t writer = mgr.RegisterThread();
   const uint32_t reader = mgr.RegisterThread();
-  bool freed = false;
+  int freed = 0;
   {
     EpochGuard guard(mgr, reader);
-    mgr.Retire(writer, [&freed] { freed = true; });
+    RetireCounted(mgr, writer, &freed);
     for (int i = 0; i < 8; ++i) mgr.ReclaimSome(writer);
-    EXPECT_FALSE(freed);
+    EXPECT_EQ(freed, 0);
   }
-  for (int i = 0; i < 8 && !freed; ++i) mgr.ReclaimSome(writer);
-  EXPECT_TRUE(freed);
+  for (int i = 0; i < 8 && freed == 0; ++i) mgr.ReclaimSome(writer);
+  EXPECT_EQ(freed, 1);
 }
 
 // ------------------------------------------------- chunked (batch) retire
@@ -151,22 +171,6 @@ TEST(EpochManagerTest, RetireBatchZeroCountIsNoop) {
   for (int i = 0; i < 4; ++i) mgr.ReclaimSome(slot);
 }
 
-TEST(EpochManagerTest, ActiveReaderBlocksBatchReclamation) {
-  EpochManager mgr(4);
-  const uint32_t writer = mgr.RegisterThread();
-  const uint32_t reader = mgr.RegisterThread();
-
-  mgr.Enter(reader);
-  int freed = 0;
-  mgr.RetireBatch(writer, MakeChain(3, &freed), 3, &DrainChain, nullptr);
-  for (int i = 0; i < 8; ++i) mgr.ReclaimSome(writer);
-  EXPECT_EQ(freed, 0) << "run drained while a reader was pinned";
-
-  mgr.Exit(reader);
-  for (int i = 0; i < 8 && freed == 0; ++i) mgr.ReclaimSome(writer);
-  EXPECT_EQ(freed, 3);
-}
-
 TEST(EpochManagerTest, RunsDrainInRetireOrder) {
   // A run's chain may point into memory of a *later*-retired run (eviction
   // prefixes chain into the retained suffix, which may itself be evicted
@@ -193,21 +197,6 @@ TEST(EpochManagerTest, RunsDrainInRetireOrder) {
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
   EXPECT_EQ(order[2], 3);
-}
-
-TEST(EpochManagerTest, MixedRetireAndRetireBatchBothDrainOnDestruction) {
-  int freed_single = 0;
-  int freed_batch = 0;
-  {
-    EpochManager mgr(2);
-    const uint32_t slot = mgr.RegisterThread();
-    mgr.Retire(slot, [&freed_single] { ++freed_single; });
-    mgr.RetireBatch(slot, MakeChain(5, &freed_batch), 5, &DrainChain,
-                    nullptr);
-    EXPECT_EQ(mgr.PendingCount(slot), 6u);
-  }
-  EXPECT_EQ(freed_single, 1);
-  EXPECT_EQ(freed_batch, 5);
 }
 
 // Stress: batch-retiring chains while readers enter/exit; every node must
@@ -245,45 +234,6 @@ TEST(EpochManagerTest, ConcurrentBatchStress) {
   mgr.ReclaimAllUnsafe(writer);
   EXPECT_EQ(freed, kRuns * kRunLen);
   EXPECT_EQ(mgr.PendingCount(writer), 0u);
-}
-
-// Stress: a writer retiring integers while readers enter/exit; every
-// retired object must be freed exactly once and never while any reader
-// that pre-dates its retirement is still pinned.
-TEST(EpochManagerTest, ConcurrentStress) {
-  constexpr int kReaders = 3;
-  constexpr int kObjects = 20000;
-  EpochManager mgr(kReaders + 1);
-  const uint32_t writer = mgr.RegisterThread();
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> freed{0};
-
-  std::vector<std::thread> readers;
-  std::vector<uint32_t> slots;
-  for (int r = 0; r < kReaders; ++r) slots.push_back(mgr.RegisterThread());
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        EpochGuard guard(mgr, slots[r]);
-        std::this_thread::yield();
-      }
-    });
-  }
-
-  for (int i = 0; i < kObjects; ++i) {
-    mgr.Retire(writer, [&freed] {
-      freed.fetch_add(1, std::memory_order_relaxed);
-    });
-    if ((i & 255) == 0) mgr.ReclaimSome(writer);
-  }
-  stop.store(true);
-  for (auto& t : readers) t.join();
-
-  for (int i = 0; i < 16; ++i) mgr.ReclaimSome(writer);
-  // Stragglers are released by the final unsafe reclaim.
-  freed.fetch_add(mgr.ReclaimAllUnsafe(writer));
-  EXPECT_EQ(freed.load(), static_cast<uint64_t>(kObjects));
 }
 
 }  // namespace

@@ -553,7 +553,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(NumaEngineTest, PerNodeArenaGaugesSplitWithoutSlabWalks) {
-  // Scale-OIJ with pooled arenas under a fake 2-node machine: the
+  // Scale-OIJ's node arenas under a fake 2-node machine: the
   // per-node gauges must cover every node ordinal and sum to the
   // aggregate MemStats (the split regroups per-arena counters, it never
   // re-walks slabs, so the totals must agree exactly).
