@@ -10,16 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/counter.h"
 #include "common/status.h"
 
 namespace oij {
-
-/// Cache-line-padded atomic counter. Joiner threads bump their own slot;
-/// the watchdog samples all slots — padding keeps the writes from
-/// false-sharing.
-struct alignas(64) PaddedCounter {
-  std::atomic<uint64_t> value{0};
-};
 
 struct WatchdogConfig {
   /// Sampling period.

@@ -158,6 +158,8 @@ Status ParallelEngineBase::Start() {
   queries_[0].ord = 0;
   queries_[0].id = "main";
   queries_[0].spec = spec_;
+  queries_[0].results =
+      std::make_unique<PaddedCounter[]>(options_.num_joiners);
   multi_mode_ = false;
   RecomputeLatePolicies();
   joiner_views_.assign(options_.num_joiners, JoinerView{});
@@ -206,7 +208,7 @@ void ParallelEngineBase::ArmWalIngest() {
 }
 
 void ParallelEngineBase::Push(const StreamEvent& event, int64_t arrival_us) {
-  pushed_.fetch_add(1, std::memory_order_relaxed);
+  SingleWriterAdd(pushed_, 1);  // driver thread only
   if (stop_requested()) {
     // Aborted run: everything after the abort is shed at the door.
     ++overload_dropped_;
@@ -386,6 +388,7 @@ Status ParallelEngineBase::ApplyCatalogAdd(std::string_view id,
   q.ord = static_cast<uint32_t>(queries_.size() - 1);
   q.id = std::string(id);
   q.spec = spec;
+  q.results = std::make_unique<PaddedCounter[]>(options_.num_joiners);
   RecomputeLatePolicies();
 
   Event ev;
@@ -483,7 +486,11 @@ std::vector<QueryStatsRow> ParallelEngineBase::QuerySnapshot() const {
     row.id = q.id;
     row.spec = q.spec;
     row.active = q.active;
-    row.results = q.results.load(std::memory_order_relaxed);
+    if (q.results != nullptr) {
+      for (uint32_t j = 0; j < options_.num_joiners; ++j) {
+        row.results += q.results[j].value.load(std::memory_order_relaxed);
+      }
+    }
     row.late = (q.ord == 0 && !multi_mode_) ? late_gate_.stats() : q.late;
     rows.push_back(std::move(row));
   }
@@ -845,8 +852,7 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
         }
         if (flushed) break;
       }
-      consumed_[joiner].value.fetch_add(processed,
-                                        std::memory_order_relaxed);
+      SingleWriterAdd(consumed_[joiner].value, processed);
       if (flushed || aborted || stop_requested()) break;
       got = queues_[joiner]->PopBatch(batch.data(), drain_batch);
     } while (got > 0);

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/counter.h"
 #include "common/fault_injector.h"
 #include "common/spsc_queue.h"
 #include "common/status.h"
@@ -71,9 +72,12 @@ struct QueryRuntime {
   uint32_t ord = 0;
   std::string id;
   QuerySpec spec;
-  bool active = true;                ///< driver-thread view
-  std::atomic<uint64_t> results{0};  ///< bumped by joiners, relaxed
-  LateStats late;                    ///< driver thread only
+  bool active = true;  ///< driver-thread view
+  /// Results delivered, one counter per joiner: each joiner bumps only
+  /// its own padded slot, so the per-result path writes no line another
+  /// joiner writes. Allocated with the entry, before any joiner sees it.
+  std::unique_ptr<PaddedCounter[]> results;
+  LateStats late;  ///< driver thread only
 };
 
 /// Point-in-time view of one standing query for the admin plane.
@@ -626,10 +630,11 @@ class ParallelEngineBase : public JoinEngine {
     return joiner_views_[joiner].accepting[ord];
   }
 
-  /// Tags, counts, and forwards one finalized result (joiner threads).
-  void EmitResult(QueryRuntime& query, JoinResult& result) {
+  /// Tags, counts, and forwards one finalized result (joiner `joiner`'s
+  /// thread, which alone writes its counter slot).
+  void EmitResult(uint32_t joiner, QueryRuntime& query, JoinResult& result) {
     result.query = query.ord;
-    query.results.fetch_add(1, std::memory_order_relaxed);
+    SingleWriterAdd(query.results[joiner].value, 1);
     sink_->OnResult(result);
   }
 
@@ -761,7 +766,7 @@ class ParallelEngineBase : public JoinEngine {
   uint64_t watermark_attempts_ = 0;  // incl. injector-suppressed ones
 
   std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> pushed_{0};
+  std::atomic<uint64_t> pushed_{0};  ///< driver-written, relaxed reads
   std::atomic<uint64_t> watermarks_signaled_{0};
   std::unique_ptr<PaddedCounter[]> consumed_;  // per joiner
   std::atomic<uint32_t> exited_{0};

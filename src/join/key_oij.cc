@@ -15,6 +15,7 @@ KeyOijEngine::KeyOijEngine(const QuerySpec& spec,
   states_.reserve(options.num_joiners);
   for (uint32_t j = 0; j < options.num_joiners; ++j) {
     states_.push_back(std::make_unique<JoinerState>());
+    states_.back()->id = j;
     states_.back()->reach = spec.window.pre + spec.window.fol;
     states_.back()->cache_probe =
         SampledCacheProbe(options.cache_sim, options.cache_sample_period);
@@ -285,7 +286,7 @@ void KeyOijEngine::Emit(JoinerState& s, QueryRuntime& query,
   result.arrival_us = arrival_us;
   result.emit_us = MonotonicNowUs();
   s.latency.Record(result.emit_us - arrival_us);
-  EmitResult(query, result);
+  EmitResult(s.id, query, result);
 }
 
 void KeyOijEngine::Evict(JoinerState& s) {

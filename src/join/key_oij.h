@@ -62,6 +62,7 @@ class KeyOijEngine : public ParallelEngineBase {
   /// All state owned by one joiner thread; padded out to its own cache
   /// lines via unique_ptr indirection.
   struct JoinerState {
+    uint32_t id = 0;  ///< joiner index (its result-counter slot)
     std::unordered_map<Key, std::vector<Tuple>> buffers;
     /// Lateness-violating probes, quarantined so drop/side-channel
     /// queries keep exact windows; only best-effort queries scan these.

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <limits>
 #include <thread>
 #include <tuple>
 
 #include "common/clock.h"
+#include "common/counter.h"
 
 namespace oij {
 
@@ -46,7 +46,7 @@ ScaleOijEngine::ScaleOijEngine(const QuerySpec& spec,
       arena.SetNumaNode(placement().OsNodeOfJoiner(j));
     }
     states_.push_back(std::make_unique<JoinerState>(
-        arena, &ebr_, slot, /*seed=*/0x5ca1e + j));
+        j, arena, &ebr_, slot, /*seed=*/0x5ca1e + j));
     states_.back()->schedule = router_schedule_;
     states_.back()->reach =
         spec.window.pre + (spec.window.pre + spec.window.fol) + 1;
@@ -73,10 +73,8 @@ void ScaleOijEngine::Route(const Event& event) {
   const uint32_t member = team[round_robin_[p]++ % team.size()];
   if (numa_topo_ && team.size() > 1 &&
       placement().NodeOfJoiner(member) != placement().NodeOfJoiner(team[0])) {
-    // Single-writer bump (driver thread only; admin threads just read).
-    numa_cross_dispatches_.store(
-        numa_cross_dispatches_.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    // Driver thread only; admin threads just read.
+    SingleWriterAdd(numa_cross_dispatches_, 1);
   }
   EnqueueTo(member, event);
 
@@ -88,12 +86,7 @@ void ScaleOijEngine::Route(const Event& event) {
         rebalancer_.Rebalance(router_schedule_, &router_stats_, &tel);
     if (next != router_schedule_) {
       ++rebalances_;
-      if (tel.cross_node_moves > 0) {
-        numa_cross_replications_.store(
-            numa_cross_replications_.load(std::memory_order_relaxed) +
-                tel.cross_node_moves,
-            std::memory_order_relaxed);
-      }
+      SingleWriterAdd(numa_cross_replications_, tel.cross_node_moves);
       router_schedule_ = next;
       table_.Publish(next);
     }
@@ -126,6 +119,10 @@ void ScaleOijEngine::PublishProgress(JoinerState& s) {
   // Release: teammates that acquire this value must observe every index
   // insert performed before it.
   s.progress.store(LocalProgress(s), std::memory_order_release);
+  if (spec().emit_mode == EmitMode::kWatermark) {
+    // Once per punctuation: wakes the teammates' gated per-tuple drains.
+    progress_epoch_.fetch_add(1, std::memory_order_release);
+  }
 }
 
 void ScaleOijEngine::PublishReadFloor(JoinerState& s) {
@@ -166,6 +163,7 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
   JoinerState& s = *states_[joiner];
   ++s.processed;
   if (event.tuple.ts > s.max_seen) s.max_seen = event.tuple.ts;
+  bool due = false;
 
   if (event.stream == StreamId::kProbe) {
     if (event.late) {
@@ -179,6 +177,7 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
     const size_t size = s.index.size() + s.annex.size();
     if (size > s.peak_buffered) s.peak_buffered = size;
   } else {
+    const Timestamp own = s.progress.load(std::memory_order_relaxed);
     for (QueryRuntime* q : JoinerQueries(joiner)) {
       if (q == nullptr || !JoinerAccepting(joiner, q->ord)) continue;
       if (event.late &&
@@ -186,13 +185,20 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
         continue;
       }
       AddPending(s, s.slots[q->ord], event.tuple, event.arrival_us);
+      // Already behind our own progress: no punctuation will drain it.
+      due = due || q->spec.window.end_for(event.tuple.ts) <= own;
     }
   }
 
   if (spec().emit_mode == EmitMode::kEager) {
     PublishProgress(s);
+    DrainPending(joiner, s);
+  } else if (due || progress_epoch_.load(std::memory_order_acquire) !=
+                        s.drained_epoch) {
+    // Otherwise nothing can have become ready since the last drain: our
+    // own progress moves only at punctuations, and no teammate's moved.
+    DrainPending(joiner, s);
   }
-  DrainPending(joiner, s);
 }
 
 void ScaleOijEngine::OnWatermark(uint32_t joiner, Timestamp watermark) {
@@ -235,6 +241,67 @@ void ScaleOijEngine::OnFlush(uint32_t joiner) {
   PublishReadFloor(s);
 }
 
+void ScaleOijEngine::PendingQueue::Push(const PendingBase& base,
+                                        std::vector<PendingBase>& scratch) {
+  if (size_ + inbox_ == cap_) Grow();
+  if (size_ == 0 || base.ts >= buf_[Slot(size_ - 1)].ts) {
+    buf_[Slot(size_++)] = base;
+    return;
+  }
+  buf_[InboxSlot(inbox_++)] = base;
+  inbox_min_ = std::min(inbox_min_, base.ts);
+  if (inbox_ >= std::max(kInboxMin, size_ / 16)) MergeInbox(scratch);
+}
+
+void ScaleOijEngine::PendingQueue::MergeInbox(
+    std::vector<PendingBase>& scratch) {
+  if (inbox_ == 0) return;
+  // Copied out first: the merged run may extend over the inbox's slots.
+  scratch.clear();
+  for (size_t j = 0; j < inbox_; ++j) scratch.push_back(buf_[InboxSlot(j)]);
+  std::sort(scratch.begin(), scratch.end(),
+            [](const PendingBase& a, const PendingBase& b) {
+              return a.ts < b.ts;
+            });
+  // Merge from the back: only run bases newer than the inbox's oldest
+  // move; the run's older prefix stays where it is.
+  size_t run_left = size_;
+  size_t inbox_left = inbox_;
+  size_t out = size_ + inbox_;
+  while (inbox_left > 0) {
+    if (run_left > 0 &&
+        buf_[Slot(run_left - 1)].ts > scratch[inbox_left - 1].ts) {
+      buf_[Slot(--out)] = buf_[Slot(--run_left)];
+    } else {
+      buf_[Slot(--out)] = scratch[--inbox_left];
+    }
+  }
+  size_ += inbox_;
+  inbox_ = 0;
+  inbox_min_ = kMaxTimestamp;
+}
+
+void ScaleOijEngine::PendingQueue::Grow() {
+  const size_t cap = std::max<size_t>(4, cap_ * 2);
+  auto grown = std::make_unique_for_overwrite<PendingBase[]>(cap);
+  for (size_t i = 0; i < size_; ++i) grown[i] = buf_[Slot(i)];
+  for (size_t j = 0; j < inbox_; ++j) {
+    grown[cap - 1 - j] = buf_[InboxSlot(j)];
+  }
+  buf_ = std::move(grown);
+  cap_ = cap;
+  head_ = 0;
+}
+
+void ScaleOijEngine::PendingQueue::swap(PendingQueue& other) noexcept {
+  buf_.swap(other.buf_);
+  std::swap(cap_, other.cap_);
+  std::swap(head_, other.head_);
+  std::swap(size_, other.size_);
+  std::swap(inbox_, other.inbox_);
+  std::swap(inbox_min_, other.inbox_min_);
+}
+
 void ScaleOijEngine::AddPending(JoinerState& s, QuerySlot& slot,
                                 const Tuple& base, int64_t arrival_us) {
   auto [it, inserted] = slot.keys.try_emplace(base.key);
@@ -245,9 +312,8 @@ void ScaleOijEngine::AddPending(JoinerState& s, QuerySlot& slot,
     s.spare_pending.pop_back();
   }
   const bool new_head =
-      ks.pending.empty() || base.ts < ks.pending.front().ts;
-  ks.pending.push_back({base.ts, base.payload, arrival_us});
-  std::push_heap(ks.pending.begin(), ks.pending.end(), std::greater<>());
+      ks.pending.empty() || base.ts < ks.pending.oldest();
+  ks.pending.Push({base.ts, base.payload, arrival_us}, s.run);
   ++slot.pending;
   // A new oldest base supersedes the key's queued head entry.
   if (new_head) slot.heads.push({base.ts, ++ks.gen, &ks});
@@ -255,6 +321,9 @@ void ScaleOijEngine::AddPending(JoinerState& s, QuerySlot& slot,
 
 bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
   if (s.schedule == nullptr) s.schedule = table_.Snapshot();
+  // Read before any teammate's progress: a publication this drain misses
+  // then shows as a new epoch at the next tuple.
+  s.drained_epoch = progress_epoch_.load(std::memory_order_acquire);
   // The joiner's own progress gates too. Its schedule snapshot may
   // predate the rebalance that added it to a key's team; once its own
   // progress passes the window end it has processed the punctuation
@@ -281,14 +350,14 @@ bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
       const uint32_t p =
           PartitionTable::PartitionOf(ks.key, options().num_partitions);
       const std::vector<uint32_t>& team = s.schedule->teams[p];
-      // One gate per key: its ready prefix, popped in ts order.
+      // One gate per key: its ready prefix, in ts order.
       const Timestamp ready = std::min(TeamMinProgress(team), own);
+      ks.pending.MergeInbox(s.run);
       s.run.clear();
       while (!ks.pending.empty() &&
              window.end_for(ks.pending.front().ts) <= ready) {
-        std::pop_heap(ks.pending.begin(), ks.pending.end(), std::greater<>());
-        s.run.push_back(ks.pending.back());
-        ks.pending.pop_back();
+        s.run.push_back(ks.pending.front());
+        ks.pending.pop_front();
       }
       if (ks.pending.empty()) {
         s.spare_pending.emplace_back().swap(ks.pending);
@@ -341,24 +410,29 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
   double out_sum = std::numeric_limits<double>::quiet_NaN();
   double out_min = std::numeric_limits<double>::quiet_NaN();
   double out_max = std::numeric_limits<double>::quiet_NaN();
+  int64_t lookup_ns = 0;  // layer lookups and seeks; the rest is match
+  const int64_t start_ns = MonotonicNowNs();
   {
-    ScopedTimerNs timer(&s.breakdown.match_ns);
     EpochGuard guard(ebr_, s.ebr_slot);
 
+    // Locating the window (FindLayer + SeekGE) is charged to lookup, the
+    // walk through it to match.
     auto scan = [&](Timestamp lo, Timestamp hi, auto&& per_tuple) {
-      for (uint32_t m : team) {
-        op_visited += states_[m]->index.ForEachInRange(
-            base.key, lo, hi, [&](const Tuple& t) {
-              s.cache_probe.Touch(&t);
-              per_tuple(t);
-            });
-        if (scan_annex) {
-          op_visited += states_[m]->annex.ForEachInRange(
-              base.key, lo, hi, [&](const Tuple& t) {
-                s.cache_probe.Touch(&t);
-                per_tuple(t);
-              });
+      auto walk = [&](const TimeTravelIndex& index) {
+        const int64_t seek_start = MonotonicNowNs();
+        const TimeTravelIndex::SecondLayer* layer = index.FindLayer(base.key);
+        TimeTravelIndex::SecondLayer::Iterator it;
+        if (layer != nullptr) it = layer->SeekGE(lo);
+        lookup_ns += MonotonicNowNs() - seek_start;
+        for (; it.Valid() && it.key() <= hi; it.Next()) {
+          s.cache_probe.Touch(&it.value());
+          per_tuple(it.value());
+          ++op_visited;
         }
+      };
+      for (uint32_t m : team) {
+        walk(states_[m]->index);
+        if (scan_annex) walk(states_[m]->annex);
       }
     };
 
@@ -404,6 +478,8 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
       }
     }
   }
+  s.breakdown.lookup_ns += lookup_ns;
+  s.breakdown.match_ns += MonotonicNowNs() - start_ns - lookup_ns;
 
   s.visited += op_visited;
   s.matched += result_count;
@@ -664,7 +740,7 @@ void ScaleOijEngine::EmitOne(JoinerState& s, QueryRuntime& query,
   result.arrival_us = arrival_us;
   result.emit_us = emit_us;
   s.latency.Record(emit_us - arrival_us);
-  EmitResult(query, result);
+  EmitResult(s.id, query, result);
 }
 
 void ScaleOijEngine::Evict(JoinerState& s) {
@@ -709,9 +785,9 @@ bool ScaleOijEngine::CollectSnapshotState(uint32_t joiner,
   std::vector<Tuple> bases;
   for (const QuerySlot& qs : s.slots) {
     for (const auto& [key, ks] : qs.keys) {
-      for (const PendingBase& base : ks.pending) {
+      ks.pending.ForEach([&bases, key = key](const PendingBase& base) {
         bases.push_back(Tuple{base.ts, key, base.payload});
-      }
+      });
     }
   }
   auto tuple_key = [](const Tuple& t) {

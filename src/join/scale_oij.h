@@ -1,7 +1,9 @@
 #ifndef OIJ_JOIN_SCALE_OIJ_H_
 #define OIJ_JOIN_SCALE_OIJ_H_
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -41,11 +43,19 @@ namespace oij {
 ///     re-seeking the index per base.
 ///
 /// Pending bases are queued per key, next to the key's running windows:
-/// each key holds a ts min-heap, and a per-query heads queue orders the
-/// keys by their oldest pending base. A drain visits keys in head order,
+/// each key holds a sorted ring plus a small inbox for out-of-order
+/// arrivals (PendingQueue), and a per-query heads queue orders the keys
+/// by their oldest pending base. A drain visits keys in head order,
 /// gates each key once, and hands its ready prefix straight to that
 /// key's kernel, so no step orders bases across keys and a key whose
 /// team lags holds back only its own bases.
+///
+/// In kWatermark mode a joiner's own progress moves only at
+/// punctuations, which drain. Between them a tuple drains only when some
+/// joiner has published progress since this joiner's last drain (a
+/// lagging teammate may have caught up; see `progress_epoch_`) or when it
+/// queued a base whose window end is already behind the joiner's own
+/// progress (a late best-effort base). kEager mode drains every tuple.
 ///
 /// Cross-thread protocol. Each joiner publishes `progress` — the event
 /// time through which it has durably processed its queue (its last
@@ -96,17 +106,77 @@ class ScaleOijEngine : public ParallelEngineBase {
     Timestamp ts;
     double payload;
     int64_t arrival_us;
+  };
 
-    bool operator>(const PendingBase& other) const { return ts > other.ts; }
+  /// One key's pending bases, kept for popping in ts order. Arrivals are
+  /// nearly sorted, so the bulk lives in a sorted run in a ring buffer
+  /// (power-of-two capacity, popped from the front) that in-order bases
+  /// append to. A base older than the run's back goes to an unsorted
+  /// inbox kept in the ring's free slots, counted back from the slot
+  /// before the run's front, so it costs no storage of its own: the ring
+  /// grows only when run and inbox fill it, as a heap of the same bases
+  /// would. The inbox is sorted and merged into the run from the back —
+  /// moving only the run's overlapping tail — once it holds
+  /// max(kInboxMin, run size / 16) bases, and before the key is drained.
+  /// That bound keeps a merge at O(1) amortized moves per base, whatever
+  /// the disorder. Order among equal timestamps is unspecified.
+  class PendingQueue {
+   public:
+    static constexpr size_t kInboxMin = 64;
+
+    bool empty() const { return size_ + inbox_ == 0; }
+    size_t size() const { return size_ + inbox_; }
+    /// Storage held, in bases.
+    size_t capacity() const { return cap_; }
+    /// The oldest pending timestamp; requires !empty().
+    Timestamp oldest() const {
+      return size_ == 0 ? inbox_min_ : std::min(front().ts, inbox_min_);
+    }
+
+    /// Queues `base`. A merge it triggers sorts through `scratch`.
+    void Push(const PendingBase& base, std::vector<PendingBase>& scratch);
+    /// Folds the inbox into the run, after which front() is the oldest
+    /// pending base. Sorts the inbox through `scratch`.
+    void MergeInbox(std::vector<PendingBase>& scratch);
+    /// The run's first base; requires a non-empty run.
+    const PendingBase& front() const { return buf_[head_]; }
+    /// Requires an empty inbox (merge first): the inbox is addressed
+    /// from the run's front.
+    void pop_front() {
+      head_ = Slot(1);
+      --size_;
+    }
+    /// Visits every pending base, run then inbox, in no set order.
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      for (size_t i = 0; i < size_; ++i) fn(buf_[Slot(i)]);
+      for (size_t j = 0; j < inbox_; ++j) fn(buf_[InboxSlot(j)]);
+    }
+    void swap(PendingQueue& other) noexcept;
+
+   private:
+    /// Buffer index of the run's `i`-th base.
+    size_t Slot(size_t i) const { return (head_ + i) & (cap_ - 1); }
+    /// Buffer index of the inbox's `j`-th base: the free slots are used
+    /// from the far end, so the run can append up to them.
+    size_t InboxSlot(size_t j) const { return Slot(cap_ - 1 - j); }
+    /// Doubles the ring (at least 4 slots), keeping run and inbox.
+    void Grow();
+
+    std::unique_ptr<PendingBase[]> buf_;
+    size_t cap_ = 0;    ///< slots in buf_, 0 or a power of two
+    size_t head_ = 0;   ///< buffer index of the run's front
+    size_t size_ = 0;   ///< bases in the run
+    size_t inbox_ = 0;  ///< bases in the inbox
+    Timestamp inbox_min_ = kMaxTimestamp;
   };
 
   /// One key's finalization state within a query slot: its pending bases
-  /// as a ts min-heap (std::greater order), next to its running windows
-  /// (Subtract-on-Evict for invertible aggregates, Two-Stacks for
-  /// min/max).
+  /// next to its running windows (Subtract-on-Evict for invertible
+  /// aggregates, Two-Stacks for min/max).
   struct KeyState {
     Key key = 0;
-    std::vector<PendingBase> pending;
+    PendingQueue pending;
     /// Bumped whenever the key's entry in the slot's heads queue is
     /// superseded; an entry with an older generation is stale.
     uint64_t gen = 0;
@@ -161,15 +231,17 @@ class ScaleOijEngine : public ParallelEngineBase {
   };
 
   struct JoinerState {
-    JoinerState(NodeArena& arena, EpochManager* ebr, uint32_t slot,
-                uint64_t seed)
-        : ebr_slot(slot),
+    JoinerState(uint32_t joiner, NodeArena& arena, EpochManager* ebr,
+                uint32_t slot, uint64_t seed)
+        : id(joiner),
+          ebr_slot(slot),
           index(arena, ebr, slot, seed),
           annex(arena, ebr, slot, seed ^ 0xa22e7ULL),
           probes(&arena) {
       slots.resize(1);  // ordinal 0: the primary query
     }
 
+    uint32_t id;  ///< joiner index (its result-counter slot)
     uint32_t ebr_slot;
     TimeTravelIndex index;
     /// Annex index for lateness-violating probes (multi-query mode with
@@ -182,15 +254,19 @@ class ScaleOijEngine : public ParallelEngineBase {
     std::vector<QuerySlot> slots;  ///< indexed by query ordinal
     std::shared_ptr<const Schedule> schedule;  // joiner-local snapshot
 
-    /// The ready prefix of the key being finalized, in ts order.
+    /// The ready prefix of the key being finalized, in ts order. Also
+    /// the sort buffer of inbox merges, which never overlap a drain's
+    /// use of it.
     std::vector<PendingBase> run;
     /// Heads entries set aside during a drain (keys whose team lags, or
     /// keys with bases left), re-queued once it ends.
     std::vector<HeadEntry> deferred;
     /// Pending-base storage of keys that drained empty, handed to the
-    /// next key that needs some, so per-key heaps recycle their capacity
+    /// next key that needs some, so per-key queues recycle their capacity
     /// instead of reallocating.
-    std::vector<std::vector<PendingBase>> spare_pending;
+    std::vector<PendingQueue> spare_pending;
+    /// `progress_epoch_` as read at the start of the last drain.
+    uint64_t drained_epoch = 0;
 
     /// Columnar batch kernel scratch (src/col/, reused across drains).
     /// The probe columns gather onto slabs loaned from this joiner's own
@@ -247,7 +323,7 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// Smallest published read floor over all joiners (eviction bound).
   Timestamp GlobalMinReadFloor() const;
 
-  /// Queues `base` on its key's pending heap in `slot`.
+  /// Queues `base` on its key's pending queue in `slot`.
   void AddPending(JoinerState& s, QuerySlot& slot, const Tuple& base,
                   int64_t arrival_us);
   /// Finalizes every ready base, key by key in head order; returns
@@ -317,6 +393,14 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// window states and full-scan main + annex — drop/side-channel
   /// queries are unaffected either way.
   std::atomic<bool> annex_dirty_{false};
+
+  /// Bumped after every kWatermark-mode progress publication (once per
+  /// punctuation per joiner). A joiner that reads the value it read at
+  /// its last drain knows no teammate's progress moved since, so the
+  /// keys it deferred are still blocked and its per-tuple drain can be
+  /// skipped. The bump follows the progress store, so a joiner that
+  /// acquires the new value also sees the new progress.
+  alignas(64) std::atomic<uint64_t> progress_epoch_{0};
 };
 
 }  // namespace oij

@@ -3,36 +3,50 @@
 #include <cassert>
 #include <new>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
+#include "common/counter.h"
 #include "topo/topology.h"
 
 namespace oij {
 
 namespace {
-/// Single-writer counter bump: only the owner thread mutates, metrics
-/// threads just read, so a relaxed load+store suffices — no locked RMW
-/// on the allocation hot path.
-inline void Bump(std::atomic<uint64_t>& c, uint64_t delta) {
-  c.store(c.load(std::memory_order_relaxed) + delta,
-          std::memory_order_relaxed);
+// Under AddressSanitizer, memory the arena holds but has not handed out
+// is poisoned — freed blocks, the virgin tail of a slab, and the data of
+// slabs in the empty pool — so a read through a stale pointer into the
+// index (an evicted node, a finger left behind) faults instead of
+// silently reading a recycled block. Slab headers stay addressable: they
+// are the allocator's own metadata.
+#if defined(__SANITIZE_ADDRESS__)
+inline void Poison(void* p, size_t bytes) {
+  ASAN_POISON_MEMORY_REGION(p, bytes);
 }
-inline void Drop(std::atomic<uint64_t>& c, uint64_t delta) {
-  c.store(c.load(std::memory_order_relaxed) - delta,
-          std::memory_order_relaxed);
+inline void Unpoison(void* p, size_t bytes) {
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
 }
+#else
+inline void Poison(void*, size_t) {}
+inline void Unpoison(void*, size_t) {}
+#endif
 }  // namespace
 
 NodeArena::~NodeArena() {
   for (Slab* slab : all_slabs_) {
+    Unpoison(slab, kSlabBytes);
     ::operator delete(slab, std::align_val_t{kSlabBytes});
   }
 }
 
 void* NodeArena::Allocate(size_t bytes) {
   assert(bytes > 0);
-  Bump(allocations_, 1);
-  Bump(live_nodes_, 1);
+  // Only the owner mutates the counters; metrics threads just read them,
+  // so a relaxed load+store suffices — no locked RMW on the hot path.
+  SingleWriterAdd(allocations_, 1);
+  SingleWriterAdd(live_nodes_, 1);
   if (bytes > kMaxClassBytes) {
-    Bump(oversize_allocs_, 1);
+    SingleWriterAdd(oversize_allocs_, 1);
     return ::operator new(bytes);
   }
   const size_t cls = ClassIndex(bytes);
@@ -43,9 +57,11 @@ void* NodeArena::Allocate(size_t bytes) {
   void* block;
   if (slab->free_head != nullptr) {
     block = slab->free_head;
+    Unpoison(block, class_bytes);
     slab->free_head = *static_cast<void**>(block);
   } else {
     block = reinterpret_cast<char*>(slab) + kDataOffset + slab->bump;
+    Unpoison(block, class_bytes);
     slab->bump += class_bytes;
   }
   ++slab->live;
@@ -57,7 +73,7 @@ void* NodeArena::Allocate(size_t bytes) {
 }
 
 void NodeArena::Deallocate(void* ptr, size_t bytes) {
-  Drop(live_nodes_, 1);
+  SingleWriterSub(live_nodes_, 1);
   if (bytes > kMaxClassBytes) {
     ::operator delete(ptr);
     return;
@@ -66,6 +82,7 @@ void NodeArena::Deallocate(void* ptr, size_t bytes) {
   const size_t cls = ClassIndex(slab->class_bytes);
   *static_cast<void**>(ptr) = slab->free_head;
   slab->free_head = ptr;
+  Poison(ptr, slab->class_bytes);
   --slab->live;
   if (!slab->in_usable) LinkUsable(cls, slab);
   if (slab->live == 0) {
@@ -78,22 +95,24 @@ void NodeArena::Deallocate(void* ptr, size_t bytes) {
     slab->prev = nullptr;
     slab->next = empty_;
     empty_ = slab;
-    Bump(slab_recycles_, 1);
+    PoisonData(slab);
+    SingleWriterAdd(slab_recycles_, 1);
   }
 }
 
 void* NodeArena::AcquireSlab() {
-  Bump(slab_loans_, 1);
+  SingleWriterAdd(slab_loans_, 1);
   Slab* slab = empty_;
   if (slab != nullptr) {
     empty_ = slab->next;
   } else {
     slab = new (NewRawSlab()) Slab();
     all_slabs_.push_back(slab);
-    Bump(reserved_bytes_, kSlabBytes);
+    SingleWriterAdd(reserved_bytes_, kSlabBytes);
   }
   // The borrower may overwrite the whole slab, header included;
   // ReleaseSlab() rebuilds it before the slab re-enters the pool.
+  Unpoison(slab, kSlabBytes);
   return slab;
 }
 
@@ -101,6 +120,12 @@ void NodeArena::ReleaseSlab(void* slab) {
   Slab* s = new (slab) Slab();
   s->next = empty_;
   empty_ = s;
+  PoisonData(s);
+}
+
+void NodeArena::PoisonData(Slab* slab) {
+  Poison(reinterpret_cast<char*>(slab) + kDataOffset,
+         kSlabBytes - kDataOffset);
 }
 
 NodeArena::Slab* NodeArena::TakeSlab(uint32_t class_bytes) {
@@ -111,7 +136,7 @@ NodeArena::Slab* NodeArena::TakeSlab(uint32_t class_bytes) {
   } else {
     slab = new (NewRawSlab()) Slab();
     all_slabs_.push_back(slab);
-    Bump(reserved_bytes_, kSlabBytes);
+    SingleWriterAdd(reserved_bytes_, kSlabBytes);
   }
   slab->class_bytes = class_bytes;
   LinkUsable(ClassIndex(class_bytes), slab);
@@ -126,9 +151,11 @@ void* NodeArena::NewRawSlab() {
     // placed by first touch — which is the owning joiner's pinned
     // thread, landing them on the same node anyway.
     if (TryBindMemoryToNode(raw, kSlabBytes, numa_node_)) {
-      Bump(numa_bound_slabs_, 1);
+      SingleWriterAdd(numa_bound_slabs_, 1);
     }
   }
+  // Blocks are unpoisoned one by one as the bump pointer hands them out.
+  PoisonData(static_cast<Slab*>(raw));
   return raw;
 }
 

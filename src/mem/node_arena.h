@@ -125,6 +125,9 @@ class NodeArena {
   }
 
   Slab* TakeSlab(uint32_t class_bytes);
+  /// Poisons everything past the header under AddressSanitizer (no-op
+  /// otherwise): the slab holds no live block.
+  static void PoisonData(Slab* slab);
   void* NewRawSlab();
   void LinkUsable(size_t cls, Slab* slab);
   void UnlinkUsable(size_t cls, Slab* slab);

@@ -7,6 +7,7 @@
 #include <new>
 #include <utility>
 
+#include "common/counter.h"
 #include "common/random.h"
 #include "ebr/epoch_manager.h"
 #include "mem/node_arena.h"
@@ -27,6 +28,18 @@ namespace oij {
 /// Duplicate keys are allowed (the second index layer keys by timestamp and
 /// two tuples may share one); a new duplicate is inserted in front of the
 /// existing run, matching Algorithm 2's `next.key >= key` predicate.
+///
+/// Inserts start from the tail. Arrivals land within the disorder bound
+/// of the newest key, so the owner keeps a finger on the last node of
+/// every level (`tail_`): each level whose last key is below the new key
+/// takes that node as its predecessor outright, and the search descends
+/// only from the lowest such node. An in-order insert is then an append.
+/// The fingers yield the predecessors Algorithm 2's search from the head
+/// would find, so the list's shape and the publication order are the
+/// same. Searches (inserts and reader seeks alike) start at the list's
+/// height, the tallest node inserted so far: the owner raises it and
+/// publishes it with a relaxed store, and a reader that sees a stale
+/// (lower) height still finds every node — it only skips less.
 ///
 /// Eviction removes a *prefix* (everything below a bound). Removed nodes
 /// keep their forward pointers, which lead back into the retained suffix,
@@ -49,6 +62,7 @@ class SwmrSkipList {
                         uint32_t owner_slot = 0, uint64_t seed = 0x5eed)
       : ebr_(ebr), owner_slot_(owner_slot), arena_(&arena), rng_(seed) {
     head_ = NewNode(K{}, V{}, kMaxHeight);
+    for (Node*& tail : tail_) tail = head_;
   }
 
   ~SwmrSkipList() { FreeChain(head_, size() + 1, arena_); }
@@ -104,23 +118,31 @@ class SwmrSkipList {
     const Node* node_ = nullptr;
   };
 
-  /// Inserts (owner thread only). Paper Algorithm 2.
+  /// Inserts (owner thread only). Paper Algorithm 2, entered from the
+  /// tail fingers (see the class comment).
   void Insert(const K& key, const V& value) {
+    const int height = RandomHeight();
+    const int top = height_.load(std::memory_order_relaxed);
+    // Levels whose last node is below `key` (or that are empty) form a
+    // suffix [low, kMaxHeight): a level's last key never exceeds the one
+    // below it. Their fingers are the predecessors.
+    int low = top;
+    while (low > 0 && (tail_[low - 1] == head_ || tail_[low - 1]->key < key)) {
+      --low;
+    }
+    // Below `low`, find per level the last node with key < new key,
+    // starting from the lowest finger that is already below it.
     Node* pre[kMaxHeight];
-    Node* node = head_;
-    int level = kMaxHeight - 1;
-    // Find, per level, the last node with key < new key.
-    while (true) {
-      Node* next = node->Next(level);
-      if (next == nullptr || !(next->key < key)) {
-        pre[level] = node;
-        if (level == 0) break;
-        --level;
-      } else {
+    Node* node = low < kMaxHeight ? tail_[low] : head_;
+    for (int level = low - 1; level >= 0; --level) {
+      for (Node* next = node->Next(level); next != nullptr && next->key < key;
+           next = node->Next(level)) {
         node = next;
       }
+      pre[level] = node;
     }
-    const int height = RandomHeight();
+    for (int level = low; level < height; ++level) pre[level] = tail_[level];
+
     Node* new_node = NewNode(key, value, height);
     for (int i = 0; i < height; ++i) {
       // Not yet reachable: relaxed is enough (Alg. 2 lines 13-14).
@@ -129,15 +151,17 @@ class SwmrSkipList {
     for (int i = 0; i < height; ++i) {
       // Atomically publish (Alg. 2 lines 15-16).
       pre[i]->SetNextRelease(i, new_node);
+      if (pre[i] == tail_[i]) tail_[i] = new_node;
     }
-    size_.fetch_add(1, std::memory_order_relaxed);
+    if (height > top) height_.store(height, std::memory_order_relaxed);
+    SingleWriterAdd(size_, 1);
   }
 
   /// First node with key >= `key` (or invalid). Paper Algorithm 1
   /// generalized to a lower-bound seek, which is what range scans need.
   Iterator SeekGE(const K& key) const {
     const Node* node = head_;
-    int level = kMaxHeight - 1;
+    int level = height_.load(std::memory_order_relaxed) - 1;
     while (true) {
       const Node* next = node->Next(level);
       if (next == nullptr || !(next->key < key)) {
@@ -172,12 +196,16 @@ class SwmrSkipList {
     if (old_first == nullptr || !(old_first->key < bound)) return 0;
 
     // Per level, the first *retained* node is the first with key >= bound.
-    for (int level = kMaxHeight - 1; level >= 0; --level) {
+    // A level left empty gets its finger back on the head; on any other
+    // level the last node is retained (it holds the level's largest key).
+    for (int level = height_.load(std::memory_order_relaxed) - 1; level >= 0;
+         --level) {
       Node* next = head_->Next(level);
       while (next != nullptr && next->key < bound) {
         next = next->Next(level);
       }
       head_->SetNextRelease(level, next);
+      if (next == nullptr) tail_[level] = head_;
     }
 
     // Walk the removed prefix (still linked) and retire it. The prefix's
@@ -195,7 +223,7 @@ class SwmrSkipList {
       ebr_->RetireBatch(owner_slot_, old_first, removed, &DrainRetiredRun,
                         arena_);
     }
-    size_.fetch_sub(removed, std::memory_order_relaxed);
+    SingleWriterSub(size_, removed);
     return removed;
   }
 
@@ -256,6 +284,12 @@ class SwmrSkipList {
   NodeArena* arena_;
   Rng rng_;
   Node* head_;
+  /// Owner-only: the last node of each level (head_ while it is empty).
+  Node* tail_[kMaxHeight];
+  /// Levels in use: the tallest node ever inserted (at least 1). Only
+  /// the owner raises it; readers may see a stale value.
+  std::atomic<int> height_{1};
+  /// Written only by the owner (relaxed load+store, common/counter.h).
   std::atomic<size_t> size_{0};
 };
 

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <memory>
 
+#include "common/counter.h"
 #include "common/types.h"
 #include "ebr/epoch_manager.h"
 #include "mem/node_arena.h"
@@ -63,7 +64,7 @@ class TimeTravelIndex {
                              ? mru_layer_
                              : GetOrCreateLayer(t.key);
     layer->Insert(t.ts, t);
-    size_.fetch_add(1, std::memory_order_relaxed);
+    SingleWriterAdd(size_, 1);
   }
 
   /// Invokes `fn(tuple)` for every tuple of `key` with ts in
@@ -107,7 +108,7 @@ class TimeTravelIndex {
     for (auto it = first_layer_.Begin(); it.Valid(); it.Next()) {
       removed += it.value()->EvictBefore(bound);
     }
-    size_.fetch_sub(removed, std::memory_order_relaxed);
+    SingleWriterSub(size_, removed);
     if (ebr_ != nullptr) ebr_->ReclaimSome(owner_slot_);
     return removed;
   }
@@ -152,6 +153,7 @@ class TimeTravelIndex {
   FirstLayer first_layer_;
   Key mru_key_ = 0;
   SecondLayer* mru_layer_ = nullptr;
+  /// Written only by the owner (relaxed load+store, common/counter.h).
   std::atomic<size_t> size_{0};
 };
 

@@ -18,8 +18,10 @@
 //     sum/count/avg under every late policy.
 //   * Scale-OIJ's per-key pending runs: superseded key heads, equal
 //     timestamps within a key, a lagging team member, two windows over
-//     the same keys, eager emit, and snapshot recovery with many keys
-//     pending — each bit-identical to the scalar path.
+//     the same keys, eager emit, disorder equal to lateness (frequent
+//     inbox merges), and snapshot recovery with many keys pending and
+//     with bases in the inbox — each bit-identical to the scalar path;
+//     plus a late best-effort base that is due on arrival.
 
 #include <gtest/gtest.h>
 
@@ -1257,6 +1259,69 @@ TEST(PendingRunTest, EagerEmitAcrossKeysAndKernels) {
   }
 }
 
+/// One crash-recovery run over `events` on Scale-OIJ with snapshots on:
+/// the first incarnation crashes halfway, once a snapshot has committed;
+/// the second recovers and finishes the stream. Returns the union of
+/// both incarnations' results, sorted, and (in `recovered`) what the
+/// second one delivered.
+std::vector<ReferenceResult> CrashRecoverUnion(
+    const std::vector<StreamEvent>& events, const QuerySpec& q,
+    bool columnar, uint64_t wm_every, const std::string& label,
+    std::vector<JoinResult>* recovered) {
+  const size_t crash_at = (events.size() / 2 / wm_every) * wm_every;
+  TempDir dir;
+  EngineOptions options = SharedTeamOptions(columnar);
+  options.durability.wal_dir = dir.path();
+  options.durability.fsync = FsyncPolicy::kPerBatch;
+  options.durability.snapshot_interval_records = 1'000;
+
+  WatermarkTracker tracker(q.lateness_us);
+  std::map<BaseKey, ReferenceResult> acc;
+  auto accumulate = [&acc](const std::vector<JoinResult>& results) {
+    for (const JoinResult& r : results) {
+      acc.emplace(BaseKey{r.base.ts, r.base.key, r.base.payload},
+                  ReferenceResult{r.base, r.aggregate, r.match_count});
+    }
+  };
+
+  CollectingSink sink1;
+  auto engine1 = CreateEngine(EngineKind::kScaleOij, q, options, &sink1);
+  EXPECT_TRUE(engine1->Start().ok()) << label;
+  uint64_t n = 0;
+  for (size_t i = 0; i < crash_at; ++i) {
+    tracker.Observe(events[i].tuple.ts);
+    engine1->Push(events[i], MonotonicNowUs());
+    if (++n % wm_every == 0) engine1->SignalWatermark(tracker.watermark());
+  }
+  // Snapshots commit behind the joiners; crash only once one has, so
+  // the per-key queues were walked even when the joiners lag.
+  for (int i = 0; i < 2'000 && engine1->SampleWal().snapshots_taken == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(engine1->SampleWal().snapshots_taken, 0u) << label;
+  static_cast<ParallelEngineBase*>(engine1.get())->CrashForTest();
+  accumulate(sink1.TakeResults());
+
+  CollectingSink sink2;
+  auto engine2 = CreateEngine(EngineKind::kScaleOij, q, options, &sink2);
+  EXPECT_TRUE(engine2->Start().ok()) << label;
+  EXPECT_TRUE(engine2->Recover().ok()) << label;
+  for (size_t i = crash_at; i < events.size(); ++i) {
+    tracker.Observe(events[i].tuple.ts);
+    engine2->Push(events[i], MonotonicNowUs());
+    if (++n % wm_every == 0) engine2->SignalWatermark(tracker.watermark());
+  }
+  engine2->Finish();
+  *recovered = sink2.TakeResults();
+  accumulate(*recovered);
+
+  std::vector<ReferenceResult> out;
+  for (const auto& [key, result] : acc) out.push_back(result);
+  SortResults(&out);
+  return out;
+}
+
 TEST(PendingRunTest, SnapshotRecoveryWithBasesPendingOnManyKeys) {
   // A 1500 us lateness keeps about 1500 bases pending, spread over all
   // 64 keys, at every snapshot and at the crash. The snapshot walks every
@@ -1285,70 +1350,134 @@ TEST(PendingRunTest, SnapshotRecoveryWithBasesPendingOnManyKeys) {
   std::vector<ReferenceResult> unions[2];
   for (bool columnar : {true, false}) {
     const std::string label = columnar ? "on" : "off";
-    TempDir dir;
-    EngineOptions options = SharedTeamOptions(columnar);
-    options.durability.wal_dir = dir.path();
-    options.durability.fsync = FsyncPolicy::kPerBatch;
-    options.durability.snapshot_interval_records = 1'000;
-
-    WatermarkTracker tracker(q.lateness_us);
-    std::map<BaseKey, ReferenceResult> acc;
-    auto accumulate = [&acc](const std::vector<JoinResult>& results) {
-      for (const JoinResult& r : results) {
-        acc.emplace(BaseKey{r.base.ts, r.base.key, r.base.payload},
-                    ReferenceResult{r.base, r.aggregate, r.match_count});
-      }
-    };
-
-    CollectingSink sink1;
-    auto engine1 = CreateEngine(EngineKind::kScaleOij, q, options, &sink1);
-    ASSERT_TRUE(engine1->Start().ok()) << label;
-    uint64_t n = 0;
-    for (size_t i = 0; i < crash_at; ++i) {
-      tracker.Observe(events[i].tuple.ts);
-      engine1->Push(events[i], MonotonicNowUs());
-      if (++n % kRecoveryWmEvery == 0) {
-        engine1->SignalWatermark(tracker.watermark());
-      }
-    }
-    // Snapshots commit behind the joiners; crash only once one has, so
-    // the per-key queues were walked even when the joiners lag.
-    for (int i = 0; i < 2'000 && engine1->SampleWal().snapshots_taken == 0;
-         ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ASSERT_GT(engine1->SampleWal().snapshots_taken, 0u) << label;
-    static_cast<ParallelEngineBase*>(engine1.get())->CrashForTest();
-    accumulate(sink1.TakeResults());
-
-    CollectingSink sink2;
-    auto engine2 = CreateEngine(EngineKind::kScaleOij, q, options, &sink2);
-    ASSERT_TRUE(engine2->Start().ok()) << label;
-    ASSERT_TRUE(engine2->Recover().ok()) << label;
-    for (size_t i = crash_at; i < events.size(); ++i) {
-      tracker.Observe(events[i].tuple.ts);
-      engine2->Push(events[i], MonotonicNowUs());
-      if (++n % kRecoveryWmEvery == 0) {
-        engine2->SignalWatermark(tracker.watermark());
-      }
-    }
-    engine2->Finish();
-    const std::vector<JoinResult> recovered = sink2.TakeResults();
+    std::vector<JoinResult> recovered;
+    unions[columnar ? 0 : 1] = CrashRecoverUnion(
+        events, q, columnar, kRecoveryWmEvery, label, &recovered);
     std::set<Key> keys_pending_at_crash;
     for (const JoinResult& r : recovered) {
       if (r.base.ts < crash_ts) keys_pending_at_crash.insert(r.base.key);
     }
     EXPECT_EQ(keys_pending_at_crash.size(), kKeys) << label;
-    accumulate(recovered);
-
-    for (const auto& [key, result] : acc) {
-      unions[columnar ? 0 : 1].push_back(result);
-    }
-    SortResults(&unions[columnar ? 0 : 1]);
     ExpectResultsEqual(unions[columnar ? 0 : 1], expected,
                        label + "/vs-oracle");
   }
   ExpectBitIdentical(unions[0], unions[1], "recovery");
+}
+
+TEST(PendingRunTest, SnapshotRecoveryWithBasesInTheInbox) {
+  // Each key's bases arrive newest first in blocks of 48: the first base
+  // of a block appends to the key's sorted ring and the other 47 queue in
+  // its inbox, which merges only once it holds 64. So at any snapshot
+  // most keys hold bases in both parts, and a snapshot that skipped the
+  // inbox would lose them on recovery. The lateness keeps them pending
+  // through the crash.
+  constexpr Key kKeys = 4;
+  constexpr Timestamp kBlock = 48;
+  std::mt19937_64 rng(0x1b0au);
+  std::vector<StreamEvent> events;
+  for (Timestamp b = 0; b < 9'600; b += kBlock) {
+    for (Timestamp t = b; t < b + kBlock; ++t) {
+      events.push_back(MakeEvent(StreamId::kProbe, t,
+                                 static_cast<Key>(t % kKeys),
+                                 static_cast<double>(rng() % 100)));
+    }
+    for (Timestamp t = b + kBlock - 1; t >= b; --t) {
+      events.push_back(
+          MakeEvent(StreamId::kBase, t, static_cast<Key>(t % kKeys), 1.0));
+    }
+  }
+  const QuerySpec q = TestQuery(AggKind::kSum, /*lateness=*/1'000, {300, 20});
+  constexpr uint64_t kRecoveryWmEvery = 96;
+  auto expected = ReferenceJoinWithPolicy(events, q, kRecoveryWmEvery);
+  SortResults(&expected);
+
+  std::vector<ReferenceResult> unions[2];
+  for (bool columnar : {true, false}) {
+    const std::string label = columnar ? "on" : "off";
+    std::vector<JoinResult> recovered;
+    unions[columnar ? 0 : 1] = CrashRecoverUnion(
+        events, q, columnar, kRecoveryWmEvery, label, &recovered);
+    ExpectResultsEqual(unions[columnar ? 0 : 1], expected,
+                       label + "/vs-oracle");
+  }
+  ExpectBitIdentical(unions[0], unions[1], "inbox-recovery");
+}
+
+TEST(PendingRunTest, DisorderEqualToLatenessMergesTheInboxOften) {
+  // Every base lands anywhere within the lateness bound of the newest
+  // timestamp, and the lateness spans many windows, so each key's queue
+  // holds hundreds of bases and most arrivals go through the inbox: it
+  // fills and merges into the ring many times between drains, each
+  // merge shifting a different share of the ring's tail.
+  constexpr Timestamp kLateness = 2'000;
+  WorkloadSpec w = TestWorkload(397, /*keys=*/3, /*disorder=*/kLateness);
+  w.total_tuples = 24'000;
+  const auto events = Generate(w);
+  // The input must really be disordered per key: count the bases that
+  // arrive behind their key's newest base.
+  std::map<Key, Timestamp> newest;
+  size_t behind = 0;
+  size_t bases = 0;
+  for (const StreamEvent& ev : events) {
+    if (ev.stream != StreamId::kBase) continue;
+    ++bases;
+    auto [it, fresh] = newest.try_emplace(ev.tuple.key, ev.tuple.ts);
+    if (!fresh && ev.tuple.ts < it->second) ++behind;
+    it->second = std::max(it->second, ev.tuple.ts);
+  }
+  ASSERT_GT(behind, bases / 3) << "workload not disordered enough";
+
+  for (AggKind agg : {AggKind::kSum, AggKind::kMax}) {
+    const QuerySpec q = TestQuery(agg, kLateness, {400, 0});
+    for (uint64_t wm_every : {uint64_t{32}, uint64_t{512}}) {
+      ExpectOnOffBitsAndOracle(events, q, wm_every, SharedTeamOptions(true),
+                               "disorder/" + std::string(AggKindName(agg)) +
+                                   "/wm" + std::to_string(wm_every));
+    }
+  }
+}
+
+TEST(PendingRunTest, LateBaseAlreadyDueFinalizesWithoutAPunctuation) {
+  // Watermark emit drains between punctuations only when something can
+  // have become ready. A best-effort late base whose window end is
+  // already behind the joiner's own progress is such a case: it must
+  // finalize on its own, with no further SignalWatermark.
+  for (bool columnar : {true, false}) {
+    const std::string label = columnar ? "on" : "off";
+    QuerySpec q = TestQuery(AggKind::kSum, /*lateness=*/10, {100, 0});
+    EngineOptions options;
+    options.num_joiners = 2;
+    options.columnar_batch = columnar;
+    CollectingSink sink;
+    auto engine = CreateEngine(EngineKind::kScaleOij, q, options, &sink);
+    ASSERT_TRUE(engine->Start().ok()) << label;
+    for (Timestamp t = 0; t < 2'000; ++t) {
+      engine->Push(MakeEvent(StreamId::kProbe, t, 0, 1.0), MonotonicNowUs());
+    }
+    engine->SignalWatermark(1'900);
+    // Due on arrival: its window end is behind progress 1899, and its
+    // window start above the eviction floor (1900 minus one window reach
+    // and one window).
+    const StreamEvent late = MakeEvent(StreamId::kBase, 1'850, 0, 7.0);
+    engine->Push(late, MonotonicNowUs());
+    engine->FlushPending();  // hand the staged batch to the joiner rings
+
+    std::vector<JoinResult> got;
+    for (int i = 0; i < 2'000 && got.empty(); ++i) {
+      got = sink.TakeResults();
+      if (got.empty()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    }
+    ASSERT_EQ(got.size(), 1u) << label << ": late base never finalized";
+    EXPECT_EQ(got[0].base.ts, 1'850) << label;
+    // Window [1750, 1850] holds 101 probes of payload 1.
+    EXPECT_EQ(got[0].match_count, 101u) << label;
+    EXPECT_EQ(got[0].aggregate, 101.0) << label;
+    const EngineStats stats = engine->Finish();
+    EXPECT_EQ(stats.late.joined, 1u) << label;
+    EXPECT_TRUE(sink.TakeResults().empty()) << label;
+  }
 }
 
 }  // namespace

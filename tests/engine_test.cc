@@ -386,8 +386,7 @@ TEST(EngineBehaviourTest, BreakdownFitsInBusyTime) {
   // joiner's busy time — including Scale-OIJ's finalization run while
   // the joiner's queue is empty (OnIdle) or flushing. Lookup is non-zero
   // wherever an engine times its window locate apart from the walk;
-  // openmldb-like charges its whole table scan to match, and so does
-  // Scale-OIJ's scalar path (columnar off).
+  // openmldb-like charges its whole table scan to match.
   for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij,
                           EngineKind::kSplitJoin, EngineKind::kSharedState}) {
     for (EmitMode mode : {EmitMode::kWatermark, EmitMode::kEager}) {
@@ -405,10 +404,7 @@ TEST(EngineBehaviourTest, BreakdownFitsInBusyTime) {
         const std::string label = std::string(EngineKindName(kind)) + "/" +
                                   (eager ? "eager" : "watermark") +
                                   (columnar ? "/columnar" : "/scalar");
-        const bool scan_is_match =
-            kind == EngineKind::kSharedState ||
-            (kind == EngineKind::kScaleOij && !columnar);
-        if (!scan_is_match) {
+        if (kind != EngineKind::kSharedState) {
           EXPECT_GT(b.lookup_ns, 0) << label;
         }
         EXPECT_GT(b.match_ns, 0) << label;

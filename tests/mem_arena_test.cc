@@ -7,6 +7,10 @@
 
 #include "mem/node_arena.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace oij {
 namespace {
 
@@ -134,6 +138,49 @@ TEST(NodeArenaTest, ChurnAtFixedPopulationStopsGrowing) {
   EXPECT_EQ(s.live_nodes, kPopulation);
   for (void* p : window) arena.Deallocate(p, 80);
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(NodeArenaTest, FreedBlocksAndRecycledSlabsArePoisonedUnderAsan) {
+  // A stale pointer into the index — an evicted node, a skip-list finger
+  // left behind — must fault under ASan rather than read a block the
+  // arena already holds for reuse.
+  NodeArena arena;
+  void* a = arena.Allocate(64);
+  void* b = arena.Allocate(64);
+  EXPECT_FALSE(__asan_address_is_poisoned(a));
+  // The slab's virgin tail is poisoned until the bump pointer hands it
+  // out.
+  EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(b) + 64));
+  arena.Deallocate(a, 64);
+  EXPECT_TRUE(__asan_address_is_poisoned(a)) << "freed block readable";
+  EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(a) + 63));
+  EXPECT_FALSE(__asan_address_is_poisoned(b));
+  void* again = arena.Allocate(64);
+  EXPECT_EQ(again, a) << "free list should serve the freed block";
+  EXPECT_FALSE(__asan_address_is_poisoned(again));
+
+  // Freeing the last live blocks sends the slab to the empty pool with
+  // its whole data region poisoned.
+  arena.Deallocate(again, 64);
+  arena.Deallocate(b, 64);
+  ASSERT_EQ(arena.EmptySlabCount(), 1u);
+  EXPECT_TRUE(__asan_address_is_poisoned(b));
+  EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(a) + 4096));
+
+  // A slab loan is wholly addressable; once released it is poisoned
+  // again, and a block carved from it comes back unpoisoned.
+  void* slab = arena.AcquireSlab();
+  EXPECT_FALSE(__asan_address_is_poisoned(slab));
+  EXPECT_FALSE(__asan_address_is_poisoned(static_cast<char*>(slab) +
+                                          kSlab - 1));
+  arena.ReleaseSlab(slab);
+  EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(slab) + 1024));
+  void* c = arena.Allocate(32);
+  EXPECT_FALSE(__asan_address_is_poisoned(c));
+  EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(c) + 32));
+  arena.Deallocate(c, 32);
+}
+#endif
 
 }  // namespace
 }  // namespace oij

@@ -246,6 +246,45 @@ TEST_P(MultiQueryEngineTest, ManyQueriesShareOneIndexExactly) {
   }
 }
 
+/// Each query counts its results in one counter per joiner; the admin
+/// view sums them. With four joiners delivering two queries' results,
+/// every query's sum must equal what its sink received.
+TEST_P(MultiQueryEngineTest, PerJoinerResultCountersSumToDelivered) {
+  const EngineKind kind = GetParam();
+  const auto events = Generate(TestWorkload(1207));
+  const QuerySpec primary = MakeSpec({400, 0}, AggKind::kSum);
+  CollectingSink sink;
+  EngineOptions options;
+  options.num_joiners = 4;
+  auto engine = CreateEngine(kind, primary, options, &sink);
+  ASSERT_TRUE(engine->Start().ok());
+  ASSERT_TRUE(engine->AddQuery("narrow", MakeSpec({150, 30}, AggKind::kAvg))
+                  .ok());
+
+  WatermarkTracker tracker(primary.lateness_us);
+  uint64_t n = 0;
+  for (const StreamEvent& ev : events) {
+    tracker.Observe(ev.tuple.ts);
+    engine->Push(ev, MonotonicNowUs());
+    if (++n % kWmEvery == 0) engine->SignalWatermark(tracker.watermark());
+  }
+  const EngineStats stats = engine->Finish();
+  EXPECT_TRUE(stats.health.ok()) << stats.health.ToString();
+
+  const auto rows = engine->QuerySnapshot();
+  ASSERT_EQ(rows.size(), 2u);
+  auto by_query = SplitByQuery(sink.TakeResults());
+  uint64_t total = 0;
+  for (const QueryStatsRow& row : rows) {
+    const std::string label =
+        std::string(EngineKindName(kind)) + "/" + row.id;
+    EXPECT_GT(row.results, 0u) << label;
+    EXPECT_EQ(row.results, by_query[row.ord].size()) << label;
+    total += row.results;
+  }
+  EXPECT_EQ(total, stats.results);
+}
+
 /// Duplicate ids, bad specs, and mismatched shared parameters are all
 /// rejected without disturbing the running queries.
 TEST_P(MultiQueryEngineTest, CatalogValidationRejectsBadSpecs) {

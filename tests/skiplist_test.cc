@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -218,6 +220,98 @@ TEST(SwmrSkipListTest, ArenaRandomWorkloadMatchesModel) {
   }
 }
 
+/// Checks `list` against `model` entry by entry (duplicates included, in
+/// order) and at a spread of SeekGE probes.
+void ExpectListMatches(const SwmrSkipList<int64_t, int>& list,
+                       const std::multimap<int64_t, int>& model, Rng& rng,
+                       const std::string& label) {
+  ASSERT_EQ(list.size(), model.size()) << label;
+  auto mit = model.begin();
+  for (auto it = list.Begin(); it.Valid(); it.Next(), ++mit) {
+    ASSERT_NE(mit, model.end()) << label;
+    ASSERT_EQ(it.key(), mit->first) << label;
+    ASSERT_EQ(it.value(), mit->second) << label << " at key " << it.key();
+  }
+  ASSERT_EQ(mit, model.end()) << label;
+  if (model.empty()) {
+    EXPECT_FALSE(list.SeekGE(0).Valid()) << label;
+    return;
+  }
+  const int64_t lo = model.begin()->first - 2;
+  const int64_t span = model.rbegin()->first - lo + 4;
+  for (int i = 0; i < 64; ++i) {
+    const int64_t probe =
+        lo + static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(span)));
+    const auto want = model.lower_bound(probe);
+    const auto got = list.SeekGE(probe);
+    if (want == model.end()) {
+      EXPECT_FALSE(got.Valid()) << label << " probe " << probe;
+    } else {
+      ASSERT_TRUE(got.Valid()) << label << " probe " << probe;
+      EXPECT_EQ(got.key(), want->first) << label << " probe " << probe;
+      EXPECT_EQ(got.value(), want->second) << label << " probe " << probe;
+    }
+  }
+}
+
+TEST(SwmrSkipListTest, FingerInsertMatchesMultimapModel) {
+  // Inserts enter from the per-level tail fingers. Every arrival pattern
+  // must build the list a head-first search would: same keys, and each
+  // new duplicate in front of its run (emplace_hint at lower_bound puts
+  // it there in the model). Evictions that empty every level put each
+  // finger back on the head; the re-inserts after them must link there.
+  struct Pattern {
+    const char* name;
+    int64_t (*key)(int64_t i, Rng& rng);
+  };
+  const Pattern patterns[] = {
+      {"in-order", [](int64_t i, Rng&) { return i; }},
+      {"bounded-disorder",
+       [](int64_t i, Rng& rng) {
+         return i - static_cast<int64_t>(rng.NextBelow(64));
+       }},
+      {"reversed", [](int64_t i, Rng&) { return 1'000'000 - i; }},
+      {"duplicate-heavy",
+       [](int64_t i, Rng& rng) {
+         return i / 16 + static_cast<int64_t>(rng.NextBelow(3));
+       }},
+  };
+  for (const Pattern& pattern : patterns) {
+    NodeArena arena;
+    SwmrSkipList<int64_t, int> list(arena, /*ebr=*/nullptr, 0, 0xf1a9);
+    std::multimap<int64_t, int> model;
+    Rng rng(0x5eed);
+    int value = 0;
+    int64_t i = 0;
+    for (int round = 0; round < 12; ++round) {
+      const std::string label =
+          std::string(pattern.name) + "/round" + std::to_string(round);
+      for (int n = 0; n < 1'500; ++n, ++i) {
+        const int64_t k = pattern.key(i, rng);
+        list.Insert(k, value);
+        model.emplace_hint(model.lower_bound(k), k, value);
+        ++value;
+      }
+      ExpectListMatches(list, model, rng, label + "/inserted");
+      // Alternate a partial prefix eviction with one that empties the
+      // list (and so every level) outright.
+      int64_t bound = std::numeric_limits<int64_t>::max();
+      if (round % 3 != 2) {
+        auto mid = model.begin();
+        std::advance(mid, static_cast<long>(model.size() / 2));
+        bound = mid->first;
+      }
+      const size_t removed = list.EvictBefore(bound);
+      const auto end = model.lower_bound(bound);
+      EXPECT_EQ(removed, static_cast<size_t>(
+                             std::distance(model.begin(), end)))
+          << label;
+      model.erase(model.begin(), end);
+      ExpectListMatches(list, model, rng, label + "/evicted");
+    }
+  }
+}
+
 // ------------------------------------------------- SWMR concurrency laws
 
 // A reader hammering lookups while a single writer inserts ascending keys
@@ -254,7 +348,10 @@ TEST(SwmrSkipListTest, SingleWriterReaderStress) {
 
 // Readers scanning ranges while the writer inserts, evicts whole runs
 // through RetireBatch, and recycles arena slabs: scans must stay
-// well-formed (sorted, within bounds) and memory must stay valid.
+// well-formed (sorted, within bounds) and memory must stay valid. The
+// writer inserts through its tail fingers out of order (bounded
+// disorder), and every eighth eviction empties the whole list, so the
+// fingers are reset to the head under the readers' feet.
 TEST(SwmrSkipListTest, EvictionConcurrentWithReaders) {
   EpochManager ebr(3);
   const uint32_t writer = ebr.RegisterThread();
@@ -283,10 +380,19 @@ TEST(SwmrSkipListTest, EvictionConcurrentWithReaders) {
   std::thread r1(reader_fn, ebr.RegisterThread());
   std::thread r2(reader_fn, ebr.RegisterThread());
 
+  Rng rng(0xf17e);
+  int64_t evictions = 0;
   for (int64_t k = 0; k < 50000; ++k) {
-    list.Insert(k, k * 7);
+    const int64_t key =
+        std::max(head.load(std::memory_order_relaxed),
+                 k - static_cast<int64_t>(rng.NextBelow(32)));
+    list.Insert(key, key * 7);
     if ((k & 1023) == 0 && k > 2000) {
-      const int64_t bound = k - 2000;
+      // Bounds only grow, so readers' `lo` stays monotone; an emptying
+      // eviction moves the bound past every key inserted so far.
+      const int64_t bound =
+          std::max(head.load(std::memory_order_relaxed),
+                   ++evictions % 8 == 0 ? k + 1 : k - 2000);
       list.EvictBefore(bound);
       head.store(bound, std::memory_order_release);
       ebr.ReclaimSome(writer);
