@@ -36,18 +36,18 @@ void ComputeWindowSlices(const Timestamp* base_ts, size_t num_bases,
                          IntervalWindow window, const Timestamp* probe_ts,
                          size_t num_probes, BaseSlice* out);
 
-/// Gathers every tuple of `key` with ts in [lo, hi] out of one
-/// time-travel index into contiguous probe columns, prefetching each
-/// successor node while the current one is copied (the nodes live on
-/// arena slabs, so the walk streams over few lines).
+/// Gathers every tuple with ts in [lo, hi] out of one key's second layer
+/// of a time-travel index (nullptr: the key has no layer there, nothing
+/// to gather) into contiguous probe columns, prefetching each successor
+/// node while the current one is copied (the nodes live on arena slabs,
+/// so the walk streams over few lines).
 /// `touch(tuple)` runs per visited tuple (cache-sim hook). Returns the
 /// number gathered. Readers must hold an EpochGuard if the index is
 /// shared, but only for the duration of this call — once gathered, the
 /// batch is decoupled from index memory.
 template <typename Touch>
-size_t GatherRange(const TimeTravelIndex& index, Key key, Timestamp lo,
+size_t GatherRange(const TimeTravelIndex::SecondLayer* layer, Timestamp lo,
                    Timestamp hi, ProbeColumns* out, Touch&& touch) {
-  TimeTravelIndex::SecondLayer* layer = index.FindLayer(key);
   if (layer == nullptr) return 0;
   size_t gathered = 0;
   for (auto it = layer->SeekGE(lo); it.Valid() && it.key() <= hi;

@@ -38,6 +38,9 @@ struct WatchdogConfig {
 struct WatchdogSample {
   std::vector<size_t> queue_depths;  ///< per-joiner ring occupancy
   std::vector<uint64_t> consumed;    ///< per-joiner events processed
+  /// Per-joiner busy nanoseconds (zero unless the engine measures busy
+  /// time: collect_breakdown or collect_cpu_util).
+  std::vector<uint64_t> busy_ns;
   uint64_t pushed = 0;               ///< router-side tuples accepted
   uint64_t watermarks = 0;           ///< watermarks actually signaled
 

@@ -139,7 +139,6 @@ Status ParallelEngineBase::Start() {
   if (!s.ok()) return s;
 
   run_origin_ns_ = MonotonicNowNs();
-  busy_ns_.assign(options_.num_joiners, 0);
   if (options_.collect_cpu_util) {
     util_trackers_.clear();
     util_trackers_.reserve(options_.num_joiners);
@@ -168,6 +167,7 @@ Status ParallelEngineBase::Start() {
     view.accepting.push_back(true);
   }
 
+  busy_ns_ = std::make_unique<PaddedCounter[]>(options_.num_joiners);
   consumed_ = std::make_unique<PaddedCounter[]>(options_.num_joiners);
   stop_.store(false, std::memory_order_release);
   exited_.store(0, std::memory_order_release);
@@ -761,7 +761,10 @@ EngineStats ParallelEngineBase::Finish() {
   }
   CollectStats(&stats);
   if (options_.collect_breakdown) {
-    for (int64_t b : busy_ns_) stats.breakdown.busy_ns += b;
+    for (uint32_t j = 0; j < options_.num_joiners; ++j) {
+      stats.breakdown.busy_ns += static_cast<int64_t>(
+          busy_ns_[j].value.load(std::memory_order_relaxed));
+    }
   }
   if (options_.collect_cpu_util) {
     const int64_t now = MonotonicNowNs();
@@ -797,7 +800,8 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
       const int64_t idle_start = track_busy ? MonotonicNowNs() : 0;
       if (OnIdle(joiner) && track_busy) {
         const int64_t idle_end = MonotonicNowNs();
-        busy_ns_[joiner] += idle_end - idle_start;
+        SingleWriterAdd(busy_ns_[joiner].value,
+                        static_cast<uint64_t>(idle_end - idle_start));
         if (track_util) util_trackers_[joiner].AddBusy(idle_start, idle_end);
       }
       backoff.Pause();
@@ -806,6 +810,8 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
     backoff.Reset();
 
     const int64_t busy_start = track_busy ? MonotonicNowNs() : 0;
+    int64_t busy_mark = busy_start;  // busy time published up to here
+    uint32_t batches_left = kBusyPublishBatches;
     // Drain a burst: everything currently queued plus the batch in hand.
     do {
       uint64_t processed = 0;
@@ -854,12 +860,22 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
       }
       SingleWriterAdd(consumed_[joiner].value, processed);
       if (flushed || aborted || stop_requested()) break;
+      if (track_busy && --batches_left == 0) {
+        // A long burst publishes as it goes, so the live counter moves
+        // under sustained load; a clock read per batch would cost more.
+        batches_left = kBusyPublishBatches;
+        const int64_t now = MonotonicNowNs();
+        SingleWriterAdd(busy_ns_[joiner].value,
+                        static_cast<uint64_t>(now - busy_mark));
+        busy_mark = now;
+      }
       got = queues_[joiner]->PopBatch(batch.data(), drain_batch);
     } while (got > 0);
 
     if (track_busy) {
       const int64_t busy_end = MonotonicNowNs();
-      busy_ns_[joiner] += busy_end - busy_start;
+      SingleWriterAdd(busy_ns_[joiner].value,
+                      static_cast<uint64_t>(busy_end - busy_mark));
       if (track_util) util_trackers_[joiner].AddBusy(busy_start, busy_end);
     }
   }
@@ -893,10 +909,13 @@ WatchdogSample ParallelEngineBase::SampleProgress() const {
   const uint32_t n = options_.num_joiners;
   sample.queue_depths.reserve(n);
   sample.consumed.reserve(n);
+  sample.busy_ns.reserve(n);
   for (uint32_t j = 0; j < n; ++j) {
     sample.queue_depths.push_back(queues_[j]->SizeApprox());
     sample.consumed.push_back(
         consumed_[j].value.load(std::memory_order_relaxed));
+    sample.busy_ns.push_back(
+        busy_ns_[j].value.load(std::memory_order_relaxed));
   }
   sample.pushed = pushed_.load(std::memory_order_relaxed);
   sample.watermarks = watermarks_signaled_.load(std::memory_order_relaxed);

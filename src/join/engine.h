@@ -253,7 +253,8 @@ struct EngineOptions {
   NumaOptions numa;
 
   /// Measure per-joiner busy time (the denominator of the Fig 6 time
-  /// breakdown). ~2 clock reads per processed burst.
+  /// breakdown, and the live oij_joiner_busy_seconds_total). ~2 clock
+  /// reads per processed burst.
   bool collect_breakdown = true;
 
   /// Record per-joiner utilization-over-time series (Fig 14).
@@ -646,9 +647,6 @@ class ParallelEngineBase : public JoinEngine {
   /// Per-joiner utilization trackers (populated when collect_cpu_util).
   std::vector<CpuUtilTracker> util_trackers_;
 
-  /// Per-joiner total busy nanoseconds (when collect_breakdown).
-  std::vector<int64_t> busy_ns_;
-
  private:
   void JoinerMain(uint32_t joiner);
 
@@ -736,18 +734,11 @@ class ParallelEngineBase : public JoinEngine {
   bool started_ = false;
   bool finished_ = false;
 
-  /// Router-assigned sequence counter. Single driver thread, so a plain
-  /// increment — never an atomic — and staging keeps the numbers of one
-  /// flushed batch contiguous (SplitJoin derives its storage designation
-  /// from `seq`, so it must be assigned before routing/staging).
-  uint64_t seq_ = 0;
   int64_t run_origin_ns_ = 0;
 
   // --- micro-batched transport (driver thread only) ---
   uint32_t batch_size_ = 1;  ///< effective size (capped at ring capacity)
   std::vector<std::vector<Event>> staged_;
-  size_t staged_total_ = 0;
-  int64_t earliest_staged_us_ = 0;  ///< arrival stamp of oldest staged
 
   // --- standing-query catalog ---
   std::deque<QueryRuntime> queries_;      // driver thread; entry 0 = primary
@@ -765,10 +756,28 @@ class ParallelEngineBase : public JoinEngine {
   uint64_t overload_shed_ = 0;
   uint64_t watermark_attempts_ = 0;  // incl. injector-suppressed ones
 
-  std::atomic<bool> stop_{false};
+  // --- driver-thread fields written per tuple ---
+  // On a cache line of their own: joiners read the fields around them
+  // (stop_, queues_, joiner_views_, options_) per batch or per tuple, and
+  // a line shared with a per-tuple write costs both threads a miss.
+
+  /// Router-assigned sequence counter. Single driver thread, so a plain
+  /// increment — never an atomic — and staging keeps the numbers of one
+  /// flushed batch contiguous (SplitJoin derives its storage designation
+  /// from `seq`, so it must be assigned before routing/staging).
+  alignas(64) uint64_t seq_ = 0;
+  size_t staged_total_ = 0;          ///< micro-batched transport
+  int64_t earliest_staged_us_ = 0;   ///< arrival stamp of oldest staged
   std::atomic<uint64_t> pushed_{0};  ///< driver-written, relaxed reads
+
+  alignas(64) std::atomic<bool> stop_{false};
   std::atomic<uint64_t> watermarks_signaled_{0};
   std::unique_ptr<PaddedCounter[]> consumed_;  // per joiner
+  /// Per-joiner busy nanoseconds (when collect_breakdown or
+  /// collect_cpu_util), published at the end of each burst and every
+  /// kBusyPublishBatches batches within one.
+  std::unique_ptr<PaddedCounter[]> busy_ns_;
+  static constexpr uint32_t kBusyPublishBatches = 64;
   std::atomic<uint32_t> exited_{0};
 
   EngineWatchdog watchdog_;

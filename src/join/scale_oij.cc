@@ -70,7 +70,11 @@ void ScaleOijEngine::Route(const Event& event) {
   router_stats_.Add(p);
 
   const auto& team = router_schedule_->teams[p];
-  const uint32_t member = team[round_robin_[p]++ % team.size()];
+  // A per-partition cursor, wrapped at the team size: no divide per
+  // tuple. Any member is a correct target.
+  uint32_t& next = round_robin_[p];
+  if (next >= team.size()) next = 0;
+  const uint32_t member = team[next++];
   if (numa_topo_ && team.size() > 1 &&
       placement().NodeOfJoiner(member) != placement().NodeOfJoiner(team[0])) {
     // Driver thread only; admin threads just read.
@@ -164,6 +168,8 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
   ++s.processed;
   if (event.tuple.ts > s.max_seen) s.max_seen = event.tuple.ts;
   bool due = false;
+  // The tuple's one key lookup.
+  KeyHandle& h = Handle(s, event.tuple.key);
 
   if (event.stream == StreamId::kProbe) {
     if (event.late) {
@@ -172,7 +178,9 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
       s.annex.Insert(event.tuple);
       annex_dirty_.store(true, std::memory_order_release);
     } else {
-      s.index.Insert(event.tuple);
+      TimeTravelIndex::SecondLayer*& layer = h.layers[s.id];
+      if (layer == nullptr) layer = s.index.GetOrCreateLayer(h.key);
+      s.index.Insert(layer, event.tuple);
     }
     const size_t size = s.index.size() + s.annex.size();
     if (size > s.peak_buffered) s.peak_buffered = size;
@@ -184,7 +192,7 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
           q->spec.late_policy != LatePolicy::kBestEffortJoin) {
         continue;
       }
-      AddPending(s, s.slots[q->ord], event.tuple, event.arrival_us);
+      AddPending(s, q->ord, h, event.tuple, event.arrival_us);
       // Already behind our own progress: no punctuation will drain it.
       due = due || q->spec.window.end_for(event.tuple.ts) <= own;
     }
@@ -302,11 +310,50 @@ void ScaleOijEngine::PendingQueue::swap(PendingQueue& other) noexcept {
   std::swap(inbox_min_, other.inbox_min_);
 }
 
-void ScaleOijEngine::AddPending(JoinerState& s, QuerySlot& slot,
+ScaleOijEngine::KeyHandle& ScaleOijEngine::KeyTable::Add(
+    std::unique_ptr<KeyHandle> handle) {
+  if (2 * (handles_.size() + 1) > entries_.size()) {
+    entries_.assign(entries_.size() * 2, Entry{});
+    for (const auto& h : handles_) Place(h.get());
+  }
+  Place(handle.get());
+  handles_.push_back(std::move(handle));
+  return *handles_.back();
+}
+
+void ScaleOijEngine::KeyTable::Place(KeyHandle* handle) {
+  const size_t mask = entries_.size() - 1;
+  size_t i = Mix64(handle->key) & mask;
+  while (entries_[i].handle != nullptr) i = (i + 1) & mask;
+  entries_[i] = {handle->key, handle};
+}
+
+ScaleOijEngine::KeyHandle& ScaleOijEngine::Handle(JoinerState& s, Key key) {
+  if (KeyHandle* h = s.keys.Find(key)) return *h;
+  return s.keys.Add(std::make_unique<KeyHandle>(
+      key, PartitionTable::PartitionOf(key, options().num_partitions),
+      states_.size()));
+}
+
+TimeTravelIndex::SecondLayer* ScaleOijEngine::MemberLayer(
+    const JoinerState& s, KeyHandle& h, uint32_t m) const {
+  TimeTravelIndex::SecondLayer*& layer = h.layers[m];
+  if (layer == nullptr && m != s.id) {
+    layer = states_[m]->index.FindLayer(h.key);
+  }
+  return layer;
+}
+
+void ScaleOijEngine::AddPending(JoinerState& s, uint32_t ord, KeyHandle& h,
                                 const Tuple& base, int64_t arrival_us) {
-  auto [it, inserted] = slot.keys.try_emplace(base.key);
-  KeyState& ks = it->second;
-  if (inserted) ks.key = base.key;
+  QuerySlot& slot = s.slots[ord];
+  if (ord >= h.states.size()) h.states.resize(ord + 1, nullptr);
+  if (h.states[ord] == nullptr) {
+    slot.keys.push_back(std::make_unique<KeyState>());
+    slot.keys.back()->handle = &h;
+    h.states[ord] = slot.keys.back().get();
+  }
+  KeyState& ks = *h.states[ord];
   if (ks.pending.capacity() == 0 && !s.spare_pending.empty()) {
     ks.pending.swap(s.spare_pending.back());
     s.spare_pending.pop_back();
@@ -347,9 +394,8 @@ bool ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
       qs.heads.pop();
       KeyState& ks = *head.key;
       if (head.gen != ks.gen) continue;  // superseded by an older base
-      const uint32_t p =
-          PartitionTable::PartitionOf(ks.key, options().num_partitions);
-      const std::vector<uint32_t>& team = s.schedule->teams[p];
+      const std::vector<uint32_t>& team =
+          s.schedule->teams[ks.handle->partition];
       // One gate per key: its ready prefix, in ts order.
       const Timestamp ready = std::min(TeamMinProgress(team), own);
       ks.pending.MergeInbox(s.run);
@@ -394,7 +440,8 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
                              KeyState& ks, const std::vector<uint32_t>& team,
                              const PendingBase& pending) {
   const QuerySpec& qspec = query.spec;
-  const Tuple base{pending.ts, ks.key, pending.payload};
+  KeyHandle& h = *ks.handle;
+  const Tuple base{pending.ts, h.key, pending.payload};
   const Timestamp start = qspec.window.start_for(base.ts);
   const Timestamp end = qspec.window.end_for(base.ts);
 
@@ -415,12 +462,13 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
   {
     EpochGuard guard(ebr_, s.ebr_slot);
 
-    // Locating the window (FindLayer + SeekGE) is charged to lookup, the
-    // walk through it to match.
+    // Locating the window (layer + SeekGE) is charged to lookup, the
+    // walk through it to match. Main-index layers come from the key's
+    // handle; the rare annex is searched per scan.
     auto scan = [&](Timestamp lo, Timestamp hi, auto&& per_tuple) {
-      auto walk = [&](const TimeTravelIndex& index) {
+      auto walk = [&](auto&& locate) {
         const int64_t seek_start = MonotonicNowNs();
-        const TimeTravelIndex::SecondLayer* layer = index.FindLayer(base.key);
+        const TimeTravelIndex::SecondLayer* layer = locate();
         TimeTravelIndex::SecondLayer::Iterator it;
         if (layer != nullptr) it = layer->SeekGE(lo);
         lookup_ns += MonotonicNowNs() - seek_start;
@@ -431,8 +479,10 @@ void ScaleOijEngine::JoinOne(JoinerState& s, QueryRuntime& query,
         }
       };
       for (uint32_t m : team) {
-        walk(states_[m]->index);
-        if (scan_annex) walk(states_[m]->annex);
+        walk([&] { return MemberLayer(s, h, m); });
+        if (scan_annex) {
+          walk([&] { return states_[m]->annex.FindLayer(h.key); });
+        }
       }
     };
 
@@ -523,22 +573,31 @@ void ScaleOijEngine::JoinGroupSweep(JoinerState& s, QueryRuntime& query,
     // release, so a slow sink never stalls reclamation.
     EpochGuard guard(ebr_, s.ebr_slot);
     const int64_t t0 = MonotonicNowNs();
-    // One layer lookup and two seeks per member: `lo` at the running
-    // window's start, `hi` just past its end. A window that cannot slide
-    // is recomputed from cursors placed at its own start: here for the
-    // first base, in the loop for a gap wider than the window.
+    // Per member, its layer from the key's handle and one seek: `lo` at
+    // the running window's start, then `hi` just past its end, walked
+    // forward from `lo` (a second seek only for a window holding more
+    // than kHiWalkSteps tuples). A window that cannot slide is recomputed
+    // from cursors placed at its own start: here for the first base, in
+    // the loop for a gap wider than the window.
     const Timestamp first_ts = s.run.front().ts;
     const Timestamp first_start = qspec.window.start_for(first_ts);
     const bool resume =
         can_slide(first_start, qspec.window.end_for(first_ts));
     for (size_t i = 0; i < team.size(); ++i) {
       SweepCursor& c = s.cursors[i];
-      c.layer = states_[team[i]]->index.FindLayer(ks.key);
+      c.layer = MemberLayer(s, *ks.handle, team[i]);
       if (c.layer == nullptr) {
         c.lo = c.hi = {};
       } else if (resume) {
         c.lo = c.layer->SeekGE(prev_start);
-        c.hi = c.layer->SeekGE(prev_end + 1);
+        c.hi = c.lo;
+        int steps = 0;
+        for (; c.hi.Valid() && c.hi.key() <= prev_end; c.hi.Next()) {
+          if (++steps > kHiWalkSteps) {
+            c.hi = c.layer->SeekGE(prev_end + 1);
+            break;
+          }
+        }
       } else {
         c.lo = c.hi = c.layer->SeekGE(first_start);
       }
@@ -601,7 +660,7 @@ void ScaleOijEngine::JoinGroupSweep(JoinerState& s, QueryRuntime& query,
   // (or a scalar slide) continues from it, within one window of the
   // published read floor.
   inc.Reseed(prev_start, prev_end, agg);
-  EmitGroup(s, query, ks.key, done_ns / 1000);
+  EmitGroup(s, query, ks.handle->key, done_ns / 1000);
   s.columnar_bases += num_bases;
   ++s.columnar_groups;
 }
@@ -640,12 +699,13 @@ void ScaleOijEngine::JoinGroupColumnar(JoinerState& s, QueryRuntime& query,
     {
       EpochGuard guard(ebr_, s.ebr_slot);
       auto touch = [&](const Tuple& t) { s.cache_probe.Touch(&t); };
+      KeyHandle& h = *ks.handle;
       for (uint32_t m : team) {
-        gathered += col::GatherRange(states_[m]->index, ks.key, lo, hi,
+        gathered += col::GatherRange(MemberLayer(s, h, m), lo, hi,
                                      &s.probes, touch);
         if (scan_annex) {
-          gathered += col::GatherRange(states_[m]->annex, ks.key, lo, hi,
-                                       &s.probes, touch);
+          gathered += col::GatherRange(states_[m]->annex.FindLayer(h.key),
+                                       lo, hi, &s.probes, touch);
         }
       }
     }
@@ -706,7 +766,7 @@ void ScaleOijEngine::JoinGroupColumnar(JoinerState& s, QueryRuntime& query,
     // window; force its next slide to recompute.
     ks.ni->Invalidate();
   }
-  EmitGroup(s, query, ks.key, MonotonicNowUs());
+  EmitGroup(s, query, ks.handle->key, MonotonicNowUs());
 
   // The team's indexes were walked once for the whole group, not once
   // per base.
@@ -784,8 +844,9 @@ bool ScaleOijEngine::CollectSnapshotState(uint32_t joiner,
   });
   std::vector<Tuple> bases;
   for (const QuerySlot& qs : s.slots) {
-    for (const auto& [key, ks] : qs.keys) {
-      ks.pending.ForEach([&bases, key = key](const PendingBase& base) {
+    for (const auto& ks : qs.keys) {
+      ks->pending.ForEach([&bases, key = ks->handle->key](
+                              const PendingBase& base) {
         bases.push_back(Tuple{base.ts, key, base.payload});
       });
     }

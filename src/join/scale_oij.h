@@ -7,12 +7,11 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "col/column_batch.h"
 #include "col/sweep_merge.h"
+#include "common/hash.h"
 #include "ebr/epoch_manager.h"
 #include "join/engine.h"
 #include "mem/node_arena.h"
@@ -41,6 +40,15 @@ namespace oij {
 ///     work (Fig 16). With the columnar path on, each key's ready run
 ///     slides with forward cursors (the delta sweep) instead of
 ///     re-seeking the index per base.
+///
+/// A joiner looks each tuple's key up once, in its own key table, whose
+/// entry is the key's handle (KeyHandle): the key's partition, its
+/// KeyState per query slot, and its second layer in every joiner's main
+/// index. A probe inserts straight into the handle's own layer, a base
+/// queues on the handle's KeyState, and every join kernel takes its team
+/// members' layers from the handle, so no joiner path descends a first
+/// layer for a layer the handle holds. A teammate's layer is kept once
+/// found; a missing one is looked up again at each use.
 ///
 /// Pending bases are queued per key, next to the key's running windows:
 /// each key holds a sorted ring plus a small inbox for out-of-order
@@ -171,17 +179,77 @@ class ScaleOijEngine : public ParallelEngineBase {
     Timestamp inbox_min_ = kMaxTimestamp;
   };
 
+  struct KeyHandle;
+
   /// One key's finalization state within a query slot: its pending bases
   /// next to its running windows (Subtract-on-Evict for invertible
   /// aggregates, Two-Stacks for min/max).
   struct KeyState {
-    Key key = 0;
+    KeyHandle* handle = nullptr;  ///< the key this state belongs to
     PendingQueue pending;
     /// Bumped whenever the key's entry in the slot's heads queue is
     /// superseded; an entry with an older generation is stale.
     uint64_t gen = 0;
     IncrementalWindowState inc;
     std::optional<NonInvertibleWindowState> ni;
+  };
+
+  /// A key as one joiner sees it: everything the joiner reaches for the
+  /// key, found by one key-table lookup per tuple and touched only by
+  /// the joiner's own thread.
+  struct KeyHandle {
+    KeyHandle(Key k, uint32_t p, size_t num_joiners)
+        : key(k),
+          partition(p),
+          layers(std::make_unique<TimeTravelIndex::SecondLayer*[]>(
+              num_joiners)) {}
+
+    Key key;
+    uint32_t partition;  ///< PartitionTable::PartitionOf(key)
+    /// The key's second layer in each joiner's main index, by joiner id.
+    /// The joiner's own entry is set by its first probe of the key and is
+    /// exact, as only this thread creates that layer. A teammate's entry
+    /// caches the layer the teammate's FindLayer returned. A null one is
+    /// resolved again on every use, since the teammate may create the
+    /// layer at any time; a non-null one is kept for good, since
+    /// first-layer entries are never removed and a layer lives as long
+    /// as its index.
+    std::unique_ptr<TimeTravelIndex::SecondLayer*[]> layers;
+    /// The key's finalization state per query ordinal; nullptr until
+    /// that query queues a base of the key.
+    std::vector<KeyState*> states;
+  };
+
+  /// A joiner's key -> handle map: open addressing with linear probing
+  /// on Mix64, at most half full, owner thread only. Handles are
+  /// allocated once and never move, so key states and heads entries
+  /// may point at them across growth.
+  class KeyTable {
+   public:
+    static constexpr size_t kInitialCapacity = 64;
+
+    KeyTable() : entries_(kInitialCapacity) {}
+
+    /// The handle of `key`, or nullptr.
+    KeyHandle* Find(Key key) const {
+      const size_t mask = entries_.size() - 1;
+      for (size_t i = Mix64(key) & mask;; i = (i + 1) & mask) {
+        const Entry& e = entries_[i];
+        if (e.handle == nullptr || e.key == key) return e.handle;
+      }
+    }
+    /// Takes `handle`, whose key must be absent.
+    KeyHandle& Add(std::unique_ptr<KeyHandle> handle);
+
+   private:
+    struct Entry {
+      Key key = 0;
+      KeyHandle* handle = nullptr;  ///< nullptr: empty slot
+    };
+    void Place(KeyHandle* handle);
+
+    std::vector<Entry> entries_;  ///< a power of two in size
+    std::vector<std::unique_ptr<KeyHandle>> handles_;
   };
 
   /// A key's oldest pending timestamp, as queued when it became the head.
@@ -198,8 +266,9 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// finalization) and its own incremental window states, but all of
   /// them read the one shared time-travel index.
   struct QuerySlot {
-    /// Node-based, so the KeyState pointers in `heads` stay valid.
-    std::unordered_map<Key, KeyState> keys;
+    /// Owns the slot's key states; key handles and `heads` point at
+    /// them.
+    std::vector<std::unique_ptr<KeyState>> keys;
     /// One live entry per key with pending bases, carrying that key's
     /// oldest pending ts; stale entries are skipped when popped. Its top
     /// is therefore never above the oldest pending base.
@@ -208,9 +277,6 @@ class ScaleOijEngine : public ParallelEngineBase {
         heads;
     uint64_t pending = 0;  ///< bases pending over all keys
   };
-  // `slots` grows while keys are queued; a copying resize would leave
-  // `heads` pointing into the old maps.
-  static_assert(std::is_nothrow_move_constructible_v<QuerySlot>);
 
   /// One team member's forward cursors over a key's second layer: `lo`
   /// at the first tuple >= the running window's start, `hi` at the first
@@ -252,6 +318,7 @@ class ScaleOijEngine : public ParallelEngineBase {
     /// reclaims into it.
     TimeTravelIndex annex;
     std::vector<QuerySlot> slots;  ///< indexed by query ordinal
+    KeyTable keys;                 ///< every key this joiner has seen
     std::shared_ptr<const Schedule> schedule;  // joiner-local snapshot
 
     /// The ready prefix of the key being finalized, in ts order. Also
@@ -323,9 +390,18 @@ class ScaleOijEngine : public ParallelEngineBase {
   /// Smallest published read floor over all joiners (eviction bound).
   Timestamp GlobalMinReadFloor() const;
 
-  /// Queues `base` on its key's pending queue in `slot`.
-  void AddPending(JoinerState& s, QuerySlot& slot, const Tuple& base,
-                  int64_t arrival_us);
+  /// The handle of `key` in `s`'s key table, created on first sight.
+  KeyHandle& Handle(JoinerState& s, Key key);
+  /// `h`'s layer in joiner `m`'s main index, or nullptr while `m` holds
+  /// none: the handle's entry, resolved through `m`'s first layer while
+  /// it is null. A teammate's first layer is read only under `s`'s
+  /// EpochGuard.
+  TimeTravelIndex::SecondLayer* MemberLayer(const JoinerState& s,
+                                            KeyHandle& h, uint32_t m) const;
+  /// Queues `base` (of `h`'s key) on the key's pending queue in query
+  /// slot `ord`.
+  void AddPending(JoinerState& s, uint32_t ord, KeyHandle& h,
+                  const Tuple& base, int64_t arrival_us);
   /// Finalizes every ready base, key by key in head order; returns
   /// whether any was finalized.
   bool DrainPending(uint32_t joiner, JoinerState& s);
@@ -334,6 +410,11 @@ class ScaleOijEngine : public ParallelEngineBase {
   bool ScanAnnex(const QuerySpec& qspec) const;
   void JoinOne(JoinerState& s, QueryRuntime& query, KeyState& ks,
                const std::vector<uint32_t>& team, const PendingBase& base);
+  /// Steps a sweep's `hi` cursor walks forward from `lo` to the end of
+  /// the running window before it falls back to a SeekGE; windows of
+  /// sparse keys hold a few tuples, so the walk usually ends first.
+  static constexpr int kHiWalkSteps = 8;
+
   /// Delta sweep for invertible incremental aggregates: joins the key's
   /// ready run (`s.run`) with two forward cursors per team member,
   /// running exactly the Subtract/Add sequence
@@ -369,8 +450,9 @@ class ScaleOijEngine : public ParallelEngineBase {
   LoadStats router_stats_;
   Rebalancer rebalancer_;
 
-  // Router-thread-local routing state.
-  std::shared_ptr<const Schedule> router_schedule_;
+  // Router-thread-local routing state, on a cache line of its own: the
+  // driver writes it per tuple, and joiners read `states_` per tuple.
+  alignas(64) std::shared_ptr<const Schedule> router_schedule_;
   std::vector<uint32_t> round_robin_;
   uint64_t events_since_rebalance_ = 0;
   uint64_t rebalances_ = 0;
@@ -386,7 +468,7 @@ class ScaleOijEngine : public ParallelEngineBase {
   std::atomic<uint64_t> numa_cross_replications_{0};
   std::atomic<uint64_t> numa_cross_dispatches_{0};
 
-  std::vector<std::unique_ptr<JoinerState>> states_;
+  alignas(64) std::vector<std::unique_ptr<JoinerState>> states_;
 
   /// Set (never cleared) once any joiner stored a late probe in its
   /// annex. From then on best-effort queries abandon their incremental

@@ -223,6 +223,12 @@ std::string RenderPrometheusMetrics(const AdminSnapshot& snap) {
               static_cast<double>(snap.progress.consumed[j]),
               {{"joiner", std::to_string(j)}});
   }
+  for (size_t j = 0; j < snap.progress.busy_ns.size(); ++j) {
+    w.Counter("oij_joiner_busy_seconds_total",
+              "Time each joiner spent processing events",
+              static_cast<double>(snap.progress.busy_ns[j]) / 1e9,
+              {{"joiner", std::to_string(j)}});
+  }
 
   // Allocator gauges (live; zero unless the engine owns node arenas).
   w.Gauge("oij_arena_bytes",

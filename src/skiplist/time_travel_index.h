@@ -22,13 +22,17 @@ namespace oij {
 /// insignificant to Scale-OIJ (Finding 3), where Key-OIJ must filter the
 /// whole unsorted buffer.
 ///
-/// Concurrency contract (SWMR): exactly one owner thread calls Insert()
-/// and EvictBefore(); other threads may scan concurrently while holding an
-/// EpochGuard on the shared EpochManager. Second-layer lists are created
-/// on first insert of a key and published through the first layer with the
-/// same release/acquire protocol as any node, so readers never observe a
-/// half-built layer. First-layer entries are never removed (their count is
-/// bounded by the number of distinct keys).
+/// Concurrency contract (SWMR): exactly one owner thread calls Insert(),
+/// GetOrCreateLayer() and EvictBefore(); other threads may scan
+/// concurrently while holding an EpochGuard on the shared EpochManager.
+/// Second-layer lists are created on first insert of a key and published
+/// through the first layer with the same release/acquire protocol as any
+/// node, so readers never observe a half-built layer. First-layer entries
+/// are never removed (their count is bounded by the number of distinct
+/// keys) and a layer lives as long as the index, so a layer pointer, once
+/// found, can be kept: the owner inserts through the layers it holds
+/// (GetOrCreateLayer + Insert(layer, t)), and readers may cache the
+/// non-null layers FindLayer returns.
 class TimeTravelIndex {
  public:
   using SecondLayer = SwmrSkipList<Timestamp, Tuple>;
@@ -54,17 +58,33 @@ class TimeTravelIndex {
   TimeTravelIndex(const TimeTravelIndex&) = delete;
   TimeTravelIndex& operator=(const TimeTravelIndex&) = delete;
 
-  /// Inserts a tuple (owner thread only). Bursty keys hit the MRU cache
-  /// and skip the first-layer seek entirely: first-layer entries are never
-  /// unlinked and second layers are only destroyed with the whole index,
-  /// so a cached layer can never dangle — even after EvictBefore() empties
-  /// it, it is still the live layer for its key.
-  void Insert(const Tuple& t) {
-    SecondLayer* layer = (mru_layer_ != nullptr && mru_key_ == t.key)
-                             ? mru_layer_
-                             : GetOrCreateLayer(t.key);
+  /// Inserts a tuple (owner thread only), descending the first layer
+  /// to its key's second layer.
+  void Insert(const Tuple& t) { Insert(GetOrCreateLayer(t.key), t); }
+
+  /// Inserts `t` straight into `layer`, which must be
+  /// GetOrCreateLayer(t.key) (owner thread only). An owner that sees the
+  /// same keys over and over keeps each key's layer and skips the
+  /// first-layer descent.
+  void Insert(SecondLayer* layer, const Tuple& t) {
     layer->Insert(t.ts, t);
     SingleWriterAdd(size_, 1);
+  }
+
+  /// The second layer of `key`, created on first use (owner thread
+  /// only). First-layer entries are never unlinked and second layers are
+  /// destroyed only with the whole index, so the pointer stays the key's
+  /// live layer for the index's lifetime, even after EvictBefore()
+  /// empties it.
+  SecondLayer* GetOrCreateLayer(Key key) {
+    SecondLayer* const* existing = first_layer_.FindEqual(key);
+    if (existing != nullptr) return *existing;
+    // Single writer: no race between the miss above and this insert.
+    const uint64_t seed = seed_ ^ (key * 0x9e3779b97f4a7c15ULL);
+    void* mem = arena_.Allocate(sizeof(SecondLayer));
+    auto* layer = new (mem) SecondLayer(arena_, ebr_, owner_slot_, seed);
+    first_layer_.Insert(key, layer);
+    return layer;
   }
 
   /// Invokes `fn(tuple)` for every tuple of `key` with ts in
@@ -119,40 +139,20 @@ class TimeTravelIndex {
   /// Number of distinct keys ever inserted.
   size_t key_count() const { return first_layer_.size(); }
 
-  /// Second layer for `key`, or nullptr (advanced callers: incremental
-  /// aggregation seeks the same layer several times).
+  /// Second layer for `key`, or nullptr. Any reader holding an
+  /// EpochGuard may call it; a non-null result stays valid for the
+  /// index's lifetime (see GetOrCreateLayer), so readers may keep it.
   SecondLayer* FindLayer(Key key) const {
     SecondLayer* const* layer = first_layer_.FindEqual(key);
     return layer == nullptr ? nullptr : *layer;
   }
 
  private:
-  SecondLayer* GetOrCreateLayer(Key key) {
-    SecondLayer* const* existing = first_layer_.FindEqual(key);
-    SecondLayer* layer;
-    if (existing != nullptr) {
-      layer = *existing;
-    } else {
-      // Single writer: no race between the miss above and this insert.
-      const uint64_t seed = seed_ ^ (key * 0x9e3779b97f4a7c15ULL);
-      void* mem = arena_.Allocate(sizeof(SecondLayer));
-      layer = new (mem) SecondLayer(arena_, ebr_, owner_slot_, seed);
-      first_layer_.Insert(key, layer);
-    }
-    // Owner-only field: readers go through ForEachInRange/FindLayer and
-    // never see the cache.
-    mru_key_ = key;
-    mru_layer_ = layer;
-    return layer;
-  }
-
   EpochManager* ebr_;
   uint32_t owner_slot_;
   uint64_t seed_;
   NodeArena& arena_;
   FirstLayer first_layer_;
-  Key mru_key_ = 0;
-  SecondLayer* mru_layer_ = nullptr;
   /// Written only by the owner (relaxed load+store, common/counter.h).
   std::atomic<size_t> size_{0};
 };

@@ -45,6 +45,7 @@
 #include "col/vector_agg.h"
 #include "common/clock.h"
 #include "common/fault_injector.h"
+#include "common/hash.h"
 #include "core/engine_factory.h"
 #include "join/reference_join.h"
 #include "join/watermark.h"
@@ -426,8 +427,9 @@ TEST(SweepMergeTest, GatherRangeMatchesForEachInRange) {
 
     probes.Clear();
     size_t touched = 0;
-    const size_t gathered = col::GatherRange(
-        index, key, lo, hi, &probes, [&](const Tuple&) { ++touched; });
+    const size_t gathered =
+        col::GatherRange(index.FindLayer(key), lo, hi, &probes,
+                         [&](const Tuple&) { ++touched; });
     ASSERT_EQ(gathered, want_ts.size()) << "key=" << key << " [" << lo
                                         << "," << hi << "]";
     EXPECT_EQ(touched, gathered);
@@ -855,6 +857,32 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(DeltaSweepTest, WindowsAroundTheHiWalkBound) {
+  // A sweep that resumes a running window places each member's `hi`
+  // cursor by walking forward from `lo`, falling back to a seek past 8
+  // tuples. Two keys get a probe every microsecond, round-robined over a
+  // team of up to three, so a member's share of a window runs from one
+  // tuple to dozens as the window widens, and a punctuation every 16
+  // arrivals makes most drains resume the previous one's window.
+  std::mt19937_64 rng(0x41a1u);
+  std::vector<StreamEvent> events;
+  for (Timestamp t = 0; t < 6'000; ++t) {
+    events.push_back(MakeEvent(StreamId::kProbe, t, 0, RoughPayload(rng)));
+    events.push_back(MakeEvent(StreamId::kProbe, t, 1, RoughPayload(rng)));
+    if (t % 3 == 0) events.push_back(MakeEvent(StreamId::kBase, t, 0, 1.0));
+    if (t % 5 == 0) events.push_back(MakeEvent(StreamId::kBase, t, 1, 1.0));
+  }
+  for (IntervalWindow window :
+       {IntervalWindow{3, 0}, IntervalWindow{10, 0}, IntervalWindow{20, 3},
+        IntervalWindow{23, 0}, IntervalWindow{24, 0}, IntervalWindow{26, 1},
+        IntervalWindow{30, 0}, IntervalWindow{200, 0}}) {
+    const QuerySpec q = TestQuery(AggKind::kSum, /*lateness=*/0, window);
+    ExpectSweepMatchesScalar(events, q, 16,
+                             "hi-walk/pre" + std::to_string(window.pre) +
+                                 "+fol" + std::to_string(window.fol));
+  }
+}
 
 // ------------------------------------------------ NaN-payload fallback
 
@@ -1477,6 +1505,68 @@ TEST(PendingRunTest, LateBaseAlreadyDueFinalizesWithoutAPunctuation) {
     const EngineStats stats = engine->Finish();
     EXPECT_EQ(stats.late.joined, 1u) << label;
     EXPECT_TRUE(sink.TakeResults().empty()) << label;
+  }
+}
+
+
+// ------------------------------------------- key handles (Scale-OIJ)
+
+/// `n` keys whose Mix64 shares its low `bits` bits with `anchor`'s, so
+/// all of them probe the same run of slots in any key table of up to
+/// 2^bits entries.
+std::vector<Key> CollidingKeys(Key anchor, int bits, size_t n) {
+  const uint64_t mask = (uint64_t{1} << bits) - 1;
+  std::vector<Key> keys;
+  for (Key k = 1; keys.size() < n; ++k) {
+    if (k != anchor && (Mix64(k) & mask) == (Mix64(anchor) & mask)) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+TEST(KeyHandleTest, TeammateLayersThatAppearLateAreFound) {
+  // A joiner caches each teammate's layer for a key once found; a
+  // missing one must be looked up again at every use. The watched keys
+  // (0, the largest key, and keys that collide with 0 in the key
+  // table) get bases from the start but probes only later, so their
+  // first sweeps find no layer on any member, and a teammate's layer
+  // appears only when a probe of the key reaches that member. Each
+  // probe goes to one team member, picked round-robin, and rebalances
+  // add members to the teams as the run goes on. Meanwhile a new
+  // filler key starts every 40 us, 400 in all, so every joiner's key
+  // table grows several times mid-run.
+  std::vector<Key> watched = {0, std::numeric_limits<Key>::max()};
+  for (Key k : CollidingKeys(0, 10, 4)) watched.push_back(k);
+  const Timestamp probes_from = 4'000;
+  std::mt19937_64 rng(0x4a9du);
+  std::vector<StreamEvent> events;
+  for (Timestamp t = 0; t < 16'000; ++t) {
+    const Key w = watched[rng() % watched.size()];
+    if (t % 2 == 0) {
+      events.push_back(MakeEvent(StreamId::kBase, t, w, 1.0));
+    } else if (t >= probes_from) {
+      events.push_back(MakeEvent(StreamId::kProbe, t, w, RoughPayload(rng)));
+    }
+    const Key filler = 1'000'000 + static_cast<Key>(t / 40);
+    if (t % 3 == 0) {
+      events.push_back(MakeEvent(StreamId::kBase, t, filler, 1.0));
+    } else {
+      events.push_back(
+          MakeEvent(StreamId::kProbe, t, filler, RoughPayload(rng)));
+    }
+  }
+  for (uint32_t partitions : {1u, 4u}) {
+    EngineOptions options = SharedTeamOptions(true);
+    options.num_partitions = partitions;
+    for (AggKind agg : {AggKind::kSum, AggKind::kMax}) {
+      const std::string label = "handles/p" + std::to_string(partitions) +
+                                "/" + std::string(AggKindName(agg));
+      const EngineStats stats = ExpectOnOffBitsAndOracle(
+          events, TestQuery(agg, /*lateness=*/0, {300, 0}), 64, options,
+          label);
+      EXPECT_GT(stats.rebalances, 0u) << label << ": no team ever grew";
+    }
   }
 }
 

@@ -111,6 +111,27 @@ class DataClient {
   std::thread reader_;
 };
 
+/// The value of the exposition sample `series` (metric name plus
+/// labels) in a /metrics body, or NaN when the body has none.
+double MetricValue(const std::string& body, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  const size_t at = body.find(needle);
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(body.c_str() + at + needle.size(), nullptr);
+}
+
+/// Each joiner's oij_joiner_busy_seconds_total in a /metrics body.
+std::vector<double> JoinerBusySeconds(const std::string& body,
+                                      uint32_t joiners) {
+  std::vector<double> busy;
+  for (uint32_t j = 0; j < joiners; ++j) {
+    const std::string series = "oij_joiner_busy_seconds_total{joiner=\"" +
+                               std::to_string(j) + "\"}";
+    busy.push_back(MetricValue(body, series));
+  }
+  return busy;
+}
+
 /// One blocking HTTP/1.0 GET against the admin port.
 std::string HttpGet(uint16_t port, const std::string& path, int* code,
                     const std::string& method = "GET") {
@@ -363,6 +384,18 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
   EXPECT_NE(body.find("oij_engine_accepted_tuples_total"), std::string::npos);
   EXPECT_NE(body.find("oij_joiner_queue_depth{joiner=\"0\"}"),
             std::string::npos);
+  // Live per-joiner busy time: present for every joiner, and it never
+  // decreases from one scrape to the next.
+  std::vector<double> busy = JoinerBusySeconds(body, 2);
+  for (size_t j = 0; j < busy.size(); ++j) {
+    EXPECT_GE(busy[j], 0.0) << "joiner " << j << "\n" << body;
+  }
+  const std::string again = HttpGet(server.admin_port(), "/metrics", &code);
+  std::vector<double> busy_again = JoinerBusySeconds(again, 2);
+  for (size_t j = 0; j < busy.size(); ++j) {
+    EXPECT_GE(busy_again[j], busy[j]) << "joiner " << j;
+  }
+  busy = busy_again;
   body = HttpGet(server.admin_port(), "/healthz", &code);
   EXPECT_EQ(code, 200);
 
@@ -385,6 +418,13 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
             std::string::npos);
   EXPECT_NE(body.find("oij_result_latency_quantile_us{quantile=\"0.99\"}"),
             std::string::npos);
+  const std::vector<double> busy_after = JoinerBusySeconds(body, 2);
+  double busy_total = 0.0;
+  for (size_t j = 0; j < busy.size(); ++j) {
+    EXPECT_GE(busy_after[j], busy[j]) << "joiner " << j;
+    busy_total += busy_after[j];
+  }
+  EXPECT_GT(busy_total, 0.0) << "the joiners processed the whole run";
   body = HttpGet(server.admin_port(), "/healthz", &code);
   EXPECT_EQ(code, 200);
   body = HttpGet(server.admin_port(), "/statz", &code);

@@ -492,28 +492,38 @@ TEST(TimeTravelIndexTest, FindLayerExposesSecondLevel) {
   EXPECT_EQ(layer->size(), 1u);
 }
 
-// The MRU insert fast path must never serve a stale layer: a layer that
-// was cached, then fully evicted, is still the live layer for its key, so
-// bursty re-inserts through the cache must land where readers look.
-TEST(TimeTravelIndexTest, MruCachedThenEvictedLayerIsNeverStale) {
+// An owner keeps each key's layer and inserts through it. A kept layer
+// that was fully evicted must still be the live layer for its key: the
+// inserts made through it land where readers and FindLayer look, and a
+// plain Insert of the key reaches the same layer.
+TEST(TimeTravelIndexTest, KeptLayerStaysLiveAfterEviction) {
   NodeArena arena;
   TimeTravelIndex index(arena);
-  // Prime the cache with a burst on key 5.
-  for (Timestamp ts = 0; ts < 50; ++ts) index.Insert(Tuple{ts, 5, 1.0});
-  auto* layer_before = index.FindLayer(5);
-  ASSERT_NE(layer_before, nullptr);
+  TimeTravelIndex::SecondLayer* kept = index.GetOrCreateLayer(5);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(index.GetOrCreateLayer(5), kept);
+  EXPECT_EQ(index.FindLayer(5), kept);
+  for (Timestamp ts = 0; ts < 50; ++ts) {
+    index.Insert(kept, Tuple{ts, 5, 1.0});
+  }
+  EXPECT_EQ(index.size(), 50u);
 
   // Evict the whole burst: the layer empties but is NOT destroyed.
   EXPECT_EQ(index.EvictBefore(100), 50u);
-  EXPECT_EQ(layer_before->size(), 0u);
+  EXPECT_EQ(kept->size(), 0u);
+  EXPECT_EQ(index.size(), 0u);
 
-  // Re-insert through the (still warm) cache; interleave another key so
-  // the cache also proves it refreshes on key switches.
-  index.Insert(Tuple{200, 5, 2.0});
+  // Re-insert through the kept layer, a plain Insert of the same key,
+  // and another key in between.
+  index.Insert(kept, Tuple{200, 5, 2.0});
   index.Insert(Tuple{201, 9, 3.0});
   index.Insert(Tuple{202, 5, 4.0});
-  EXPECT_EQ(index.FindLayer(5), layer_before)
+  EXPECT_EQ(index.FindLayer(5), kept)
       << "layer identity must be stable for the index lifetime";
+  EXPECT_EQ(index.GetOrCreateLayer(5), kept);
+  EXPECT_EQ(kept->size(), 2u);
+  EXPECT_EQ(index.size(), 3u);
+  EXPECT_EQ(index.key_count(), 2u);
 
   double sum = 0;
   const size_t n = index.ForEachInRange(
