@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/hash.h"
-#include "metrics/prometheus.h"
-#include "net/http.h"
 #include "net/socket.h"
 
 namespace oij {
@@ -25,7 +22,19 @@ const char* BackendStateName(uint8_t state) {
 }  // namespace
 
 OijRouter::OijRouter(const RouterConfig& config)
-    : config_(config), ring_(config.ring_vnodes) {}
+    : config_(config),
+      conns_(&loop_, config.max_subscriber_backlog_bytes,
+             {.on_frame =
+                  [this](Conn* conn, const WireFrame& frame) {
+                    return HandleClientFrame(conn, frame);
+                  },
+              .on_admin =
+                  [this](const HttpRequest& request) {
+                    return HandleRouterAdminRequest(BuildSnapshot(),
+                                                    request);
+                  },
+              .on_frames_done = [this] { FlushBackends(); }}),
+      ring_(config.ring_vnodes) {}
 
 OijRouter::~OijRouter() { Shutdown(); }
 
@@ -36,15 +45,9 @@ Status OijRouter::Start() {
     return Status::InvalidArgument("router needs at least one backend");
   }
 
-  Status s = data_listener_.Listen(config_.bind_address, config_.data_port);
+  const Status s = conns_.Listen(config_.bind_address, config_.data_port,
+                                 config_.admin_port);
   if (!s.ok()) return s;
-  s = admin_listener_.Listen(config_.bind_address, config_.admin_port);
-  if (!s.ok()) {
-    data_listener_.Close();
-    return s;
-  }
-  data_port_ = data_listener_.port();
-  admin_port_ = admin_listener_.port();
 
   health_ = std::make_unique<HealthChecker>(
       &loop_, &timers_, config_.health,
@@ -57,11 +60,6 @@ Status OijRouter::Start() {
     health_->AddTarget(i, config_.backends[i].host,
                        config_.backends[i].admin_port);
   }
-
-  loop_.Add(data_listener_.fd(), kLoopReadable,
-            [this](uint32_t) { OnDataAccept(); });
-  loop_.Add(admin_listener_.fd(), kLoopReadable,
-            [this](uint32_t) { OnAdminAccept(); });
 
   started_ = true;
   stop_.store(false, std::memory_order_release);
@@ -79,13 +77,9 @@ void OijRouter::Shutdown() {
 
 RouterCounters OijRouter::CountersSnapshot() const {
   RouterCounters c;
-  c.clients_accepted = clients_accepted_.load(std::memory_order_relaxed);
-  c.clients_open = clients_open_.load(std::memory_order_relaxed);
+  static_cast<ConnCounters&>(c) = conns_.Counters();
   c.clients_stalled_evicted =
       clients_stalled_evicted_.load(std::memory_order_relaxed);
-  c.subscribers = subscribers_.load(std::memory_order_relaxed);
-  c.subscribers_evicted =
-      subscribers_evicted_.load(std::memory_order_relaxed);
   c.tuples_in = tuples_in_.load(std::memory_order_relaxed);
   c.tuples_routed = tuples_routed_.load(std::memory_order_relaxed);
   c.tuples_queued_sticky =
@@ -107,8 +101,8 @@ RouterCounters OijRouter::CountersSnapshot() const {
       replay_dropped_tuples_.load(std::memory_order_relaxed);
   c.cluster_watermark = cluster_watermark_.load(std::memory_order_relaxed);
   c.min_backend_acked = min_backend_acked_.load(std::memory_order_relaxed);
-  c.hellos_rejected = hellos_rejected_.load(std::memory_order_relaxed);
-  c.admin_requests = admin_requests_.load(std::memory_order_relaxed);
+  c.hellos_rejected +=
+      backend_hellos_rejected_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -130,20 +124,13 @@ void OijRouter::ServeLoop() {
   }
 
   health_->Stop();
-  loop_.Remove(data_listener_.fd());
-  loop_.Remove(admin_listener_.fd());
-  data_listener_.Close();
-  admin_listener_.Close();
   for (auto& backend : backends_) {
     if (backend->conn != nullptr) {
       loop_.Remove(backend->conn->fd());
       backend->conn.reset();
     }
   }
-  std::vector<int> fds;
-  fds.reserve(clients_.size());
-  for (const auto& [fd, conn] : clients_) fds.push_back(fd);
-  for (int fd : fds) CloseClient(fd);
+  conns_.Shutdown();
 }
 
 // --- backend pool ----------------------------------------------------
@@ -255,7 +242,7 @@ bool OijRouter::HandleBackendFrame(Backend* backend,
       if (!frame.hello.Compatible()) {
         // A clean, decoded refusal — do not retry-hammer a peer from
         // the wrong protocol era.
-        hellos_rejected_.fetch_add(1, std::memory_order_relaxed);
+        backend_hellos_rejected_.fetch_add(1, std::memory_order_relaxed);
         BackendFailed(backend, "incompatible peer");
         return false;
       }
@@ -266,9 +253,13 @@ bool OijRouter::HandleBackendFrame(Backend* backend,
       acks_received_.fetch_add(1, std::memory_order_relaxed);
       OnBackendAck(backend, frame.watermark, frame.ack_tuples);
       return true;
-    case FrameType::kResult:
-      FanResultToSubscribers(frame.result);
+    case FrameType::kResult: {
+      std::string out;
+      AppendResultFrame(&out, frame.result);
+      results_fanned_.fetch_add(1, std::memory_order_relaxed);
+      conns_.FanOut(out);
       return true;
+    }
     case FrameType::kSummary:
       backend->summary_received = true;
       backend->summary = frame.text;
@@ -406,97 +397,7 @@ void OijRouter::FlushBackend(Backend* backend) {
   loop_.SetInterest(backend->conn->fd(), interest);
 }
 
-// --- client plane ----------------------------------------------------
-
-void OijRouter::OnDataAccept() {
-  data_listener_.AcceptAll([this](int fd) {
-    clients_accepted_.fetch_add(1, std::memory_order_relaxed);
-    clients_open_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_unique<ClientConn>(fd);
-    conn->last_frame_ms = NowMs();
-    clients_.emplace(fd, std::move(conn));
-    loop_.Add(fd, kLoopReadable,
-              [this, fd](uint32_t ready) { OnClientEvent(fd, ready); });
-  });
-}
-
-void OijRouter::OnAdminAccept() {
-  admin_listener_.AcceptAll([this](int fd) {
-    auto conn = std::make_unique<ClientConn>(fd);
-    conn->is_admin = true;
-    conn->last_frame_ms = NowMs();
-    clients_.emplace(fd, std::move(conn));
-    loop_.Add(fd, kLoopReadable,
-              [this, fd](uint32_t ready) { OnClientEvent(fd, ready); });
-  });
-}
-
-void OijRouter::OnClientEvent(int fd, uint32_t ready) {
-  auto it = clients_.find(fd);
-  if (it == clients_.end()) return;
-  ClientConn* conn = it->second.get();
-  if (ready & kLoopError) {
-    CloseClient(fd);
-    return;
-  }
-  if (ready & kLoopWritable) {
-    if (conn->tcp.FlushWrites() == TcpConnection::IoResult::kError) {
-      CloseClient(fd);
-      return;
-    }
-    if (conn->tcp.close_after_flush() && !conn->tcp.wants_write()) {
-      CloseClient(fd);
-      return;
-    }
-    FlushClient(conn);
-    if (clients_.count(fd) == 0) return;
-  }
-  if (ready & kLoopReadable) {
-    const TcpConnection::IoResult r = conn->tcp.ReadReady();
-    if (r == TcpConnection::IoResult::kError) {
-      CloseClient(fd);
-      return;
-    }
-    if (conn->is_admin) {
-      ProcessAdminInput(conn);
-    } else {
-      ProcessClientInput(conn);
-    }
-    if (clients_.count(fd) == 0) return;
-    if (r == TcpConnection::IoResult::kEof) {
-      if (conn->tcp.wants_write()) {
-        conn->tcp.set_close_after_flush(true);
-        FlushClient(conn);
-      } else {
-        CloseClient(fd);
-      }
-    }
-  }
-}
-
-void OijRouter::ProcessClientInput(ClientConn* conn) {
-  if (conn->tcp.close_after_flush()) {
-    conn->tcp.input().clear();
-    return;
-  }
-  std::string& in = conn->tcp.input();
-  conn->decoder.Feed(in);
-  in.clear();
-  WireFrame frame;
-  bool any = false;
-  while (true) {
-    const WireDecoder::Result r = conn->decoder.Next(&frame);
-    if (r == WireDecoder::Result::kNeedMore) break;
-    if (r == WireDecoder::Result::kCorrupt) {
-      SendClientError(conn, conn->decoder.error().ToString());
-      return;
-    }
-    any = true;
-    conn->last_frame_ms = NowMs();
-    if (!HandleClientFrame(conn, frame)) return;
-  }
-  if (!any) return;
-  // One flush per processed batch keeps syscalls off the per-frame path.
+void OijRouter::FlushBackends() {
   for (auto& backend : backends_) {
     if (backend->conn != nullptr && backend->conn->wants_write()) {
       FlushBackend(backend.get());
@@ -504,34 +405,24 @@ void OijRouter::ProcessClientInput(ClientConn* conn) {
   }
 }
 
-bool OijRouter::HandleClientFrame(ClientConn* conn, const WireFrame& frame) {
-  const bool first_frame = !conn->saw_frame;
-  conn->saw_frame = true;
+// --- client plane ----------------------------------------------------
+
+bool OijRouter::HandleClientFrame(Conn* conn, const WireFrame& frame) {
   switch (frame.type) {
     case FrameType::kHello: {
-      if (!first_frame) {
-        hellos_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendClientError(conn, "hello must be the first frame");
-        return false;
-      }
-      if (!frame.hello.Compatible()) {
-        hellos_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendClientError(conn, "incompatible wire protocol version");
-        return false;
-      }
       HelloInfo reply;
       reply.recovered_watermark = cluster_wm_.emitted();
       std::string out;
       AppendHelloFrame(&out, reply);
       const int fd = conn->tcp.fd();
       conn->tcp.QueueWrite(out);
-      FlushClient(conn);
-      return clients_.count(fd) != 0;
+      conns_.Flush(conn);
+      return conns_.Find(fd) != nullptr;
     }
     case FrameType::kTuple:
       tuples_in_.fetch_add(1, std::memory_order_relaxed);
       if (run_finished_.load(std::memory_order_relaxed)) {
-        SendClientError(conn, "run already finalized; tuple rejected");
+        conns_.SendError(conn, "run already finalized; tuple rejected");
         return false;
       }
       RouteTuple(frame.event);
@@ -548,24 +439,24 @@ bool OijRouter::HandleClientFrame(ClientConn* conn, const WireFrame& frame) {
       BroadcastWatermark(frame.watermark);
       return true;
     case FrameType::kSubscribe:
-      if (!conn->subscriber) {
-        conn->subscriber = true;
-        subscribers_.fetch_add(1, std::memory_order_relaxed);
-      }
+      conns_.Subscribe(conn);
       return true;
-    case FrameType::kFinish:
-      if (!finish_requested_) {
-        finish_requested_ = true;
-        finish_requested_ms_ = NowMs();
-        finisher_fd_ = conn->tcp.fd();
-        MaybeFinish();
-      }
-      return true;
+    case FrameType::kFinish: {
+      if (finish_requested_) return true;
+      finish_requested_ = true;
+      finish_requested_ms_ = NowMs();
+      conn->finisher = true;
+      // With no backend left to wait for, MaybeFinish completes the run
+      // right here and SendFinal may already have closed this connection.
+      const int fd = conn->tcp.fd();
+      MaybeFinish();
+      return conns_.Find(fd) != nullptr;
+    }
     case FrameType::kAddQuery:
     case FrameType::kRemoveQuery: {
       if (run_finished_.load(std::memory_order_relaxed)) {
-        SendClientError(conn, "run already finalized; catalog change "
-                              "rejected");
+        conns_.SendError(conn,
+                         "run already finalized; catalog change rejected");
         return false;
       }
       std::string out;
@@ -583,7 +474,7 @@ bool OijRouter::HandleClientFrame(ClientConn* conn, const WireFrame& frame) {
       return true;
     }
     default:
-      SendClientError(conn, "unexpected frame type from client");
+      conns_.SendError(conn, "unexpected frame type from client");
       return false;
   }
 }
@@ -669,92 +560,17 @@ void OijRouter::OnBackendAck(Backend* backend, Timestamp watermark,
     // and complete through `advanced`.
     std::string frame;
     AppendWatermarkFrame(&frame, advanced);
-    FanFramesToSubscribers(frame);
+    conns_.FanOut(frame);
   }
-}
-
-void OijRouter::FanResultToSubscribers(const JoinResult& result) {
-  std::string frame;
-  AppendResultFrame(&frame, result);
-  results_fanned_.fetch_add(1, std::memory_order_relaxed);
-  FanFramesToSubscribers(frame);
-}
-
-void OijRouter::FanFramesToSubscribers(const std::string& frames) {
-  std::vector<int> fds;
-  fds.reserve(clients_.size());
-  for (const auto& [fd, conn] : clients_) {
-    if (conn->subscriber && !conn->tcp.close_after_flush()) {
-      fds.push_back(fd);
-    }
-  }
-  for (int fd : fds) {
-    auto it = clients_.find(fd);
-    if (it == clients_.end()) continue;
-    it->second->tcp.QueueWrite(frames);
-    FlushClient(it->second.get());
-    auto again = clients_.find(fd);
-    if (again != clients_.end() &&
-        again->second->tcp.pending_write_bytes() >
-            config_.max_subscriber_backlog_bytes) {
-      subscribers_evicted_.fetch_add(1, std::memory_order_relaxed);
-      CloseClient(fd);
-    }
-  }
-}
-
-void OijRouter::SendClientError(ClientConn* conn,
-                                const std::string& message) {
-  std::string out;
-  AppendTextFrame(&out, FrameType::kError, message);
-  conn->tcp.QueueWrite(out);
-  conn->tcp.set_close_after_flush(true);
-  FlushClient(conn);
-}
-
-void OijRouter::FlushClient(ClientConn* conn) {
-  if (conn->tcp.FlushWrites() == TcpConnection::IoResult::kError) {
-    CloseClient(conn->tcp.fd());
-    return;
-  }
-  if (conn->tcp.close_after_flush() && !conn->tcp.wants_write()) {
-    CloseClient(conn->tcp.fd());
-    return;
-  }
-  uint32_t interest = 0;
-  if (!conn->tcp.close_after_flush()) interest |= kLoopReadable;
-  if (conn->tcp.wants_write()) interest |= kLoopWritable;
-  loop_.SetInterest(conn->tcp.fd(), interest);
-}
-
-void OijRouter::CloseClient(int fd) {
-  auto it = clients_.find(fd);
-  if (it == clients_.end()) return;
-  if (it->second->subscriber) {
-    subscribers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  if (!it->second->is_admin) {
-    clients_open_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  if (fd == finisher_fd_) finisher_fd_ = -1;
-  loop_.Remove(fd);
-  clients_.erase(it);
 }
 
 void OijRouter::SweepStalledClients() {
   const int64_t now = NowMs();
-  std::vector<int> stalled;
-  for (const auto& [fd, conn] : clients_) {
-    if (conn->is_admin) continue;
-    if (conn->decoder.buffered() > 0 &&
-        now - conn->last_frame_ms > config_.client_stall_timeout_ms) {
-      stalled.push_back(fd);
-    }
-  }
-  for (int fd : stalled) {
-    clients_stalled_evicted_.fetch_add(1, std::memory_order_relaxed);
-    CloseClient(fd);
-  }
+  const size_t stalled = conns_.CloseWhere([&](const Conn& conn) {
+    return !conn.is_admin && conn.decoder.buffered() > 0 &&
+           now - conn.last_frame_ms > config_.client_stall_timeout_ms;
+  });
+  clients_stalled_evicted_.fetch_add(stalled, std::memory_order_relaxed);
 }
 
 // --- finish ----------------------------------------------------------
@@ -818,221 +634,35 @@ void OijRouter::CompleteFinish() {
 
   std::string summary_frame;
   AppendTextFrame(&summary_frame, FrameType::kSummary, merged_summary_);
-  std::vector<int> fds;
-  fds.reserve(clients_.size());
-  for (const auto& [fd, conn] : clients_) {
-    if (conn->subscriber || fd == finisher_fd_) fds.push_back(fd);
-  }
-  for (int fd : fds) {
-    auto it = clients_.find(fd);
-    if (it == clients_.end()) continue;
-    ClientConn* conn = it->second.get();
-    conn->tcp.QueueWrite(summary_frame);
-    conn->tcp.set_close_after_flush(true);
-    FlushClient(conn);
-  }
+  conns_.SendFinal(summary_frame);
 }
 
 // --- admin plane -----------------------------------------------------
 
-void OijRouter::ProcessAdminInput(ClientConn* conn) {
-  if (conn->tcp.close_after_flush()) {
-    conn->tcp.input().clear();
-    return;
-  }
-  HttpRequest request;
-  size_t consumed = 0;
-  switch (ParseHttpRequest(conn->tcp.input(), &request, &consumed)) {
-    case HttpParseResult::kNeedMore:
-      return;
-    case HttpParseResult::kBad:
-      conn->tcp.input().clear();
-      conn->tcp.QueueWrite(BuildHttpResponse(
-          400, "text/plain; charset=utf-8", "malformed request\n"));
-      conn->tcp.set_close_after_flush(true);
-      FlushClient(conn);
-      return;
-    case HttpParseResult::kOk:
-      break;
-  }
-  conn->tcp.input().erase(0, consumed);
-  admin_requests_.fetch_add(1, std::memory_order_relaxed);
-
-  std::string response;
-  if (request.method != "GET") {
-    response = BuildHttpResponse(405, "text/plain; charset=utf-8",
-                                 "method not allowed\n");
-  } else if (request.path == "/healthz") {
-    size_t eligible = 0;
-    for (const auto& backend : backends_) {
-      if (Eligible(*backend)) ++eligible;
-    }
-    if (eligible > 0) {
-      response = BuildHttpResponse(200, "text/plain; charset=utf-8",
-                                   "ok: " + std::to_string(eligible) + "/" +
-                                       std::to_string(backends_.size()) +
-                                       " backends\n");
-    } else {
-      response = BuildHttpResponse(503, "text/plain; charset=utf-8",
-                                   "no eligible backends\n");
-    }
-  } else if (request.path == "/statz") {
-    response = BuildHttpResponse(200, "application/json", RenderStatz());
-  } else if (request.path == "/metrics") {
-    response = BuildHttpResponse(200, "text/plain; version=0.0.4",
-                                 RenderMetrics());
-  } else {
-    response = BuildHttpResponse(404, "text/plain; charset=utf-8",
-                                 "not found\n");
-  }
-  conn->tcp.QueueWrite(response);
-  conn->tcp.set_close_after_flush(true);
-  FlushClient(conn);
-}
-
-std::string OijRouter::RenderStatz() {
-  const RouterCounters c = CountersSnapshot();
-  std::string j = "{";
-  auto num = [&j](const char* key, int64_t value, bool comma = true) {
-    j += "\"";
-    j += key;
-    j += "\":";
-    j += std::to_string(value);
-    if (comma) j += ",";
-  };
-  num("clients_accepted", static_cast<int64_t>(c.clients_accepted));
-  num("clients_open", static_cast<int64_t>(c.clients_open));
-  num("clients_stalled_evicted",
-      static_cast<int64_t>(c.clients_stalled_evicted));
-  num("subscribers", static_cast<int64_t>(c.subscribers));
-  num("subscribers_evicted", static_cast<int64_t>(c.subscribers_evicted));
-  num("tuples_in", static_cast<int64_t>(c.tuples_in));
-  num("tuples_routed", static_cast<int64_t>(c.tuples_routed));
-  num("tuples_queued_sticky",
-      static_cast<int64_t>(c.tuples_queued_sticky));
-  num("tuples_failed_over", static_cast<int64_t>(c.tuples_failed_over));
-  num("tuples_dropped", static_cast<int64_t>(c.tuples_dropped));
-  num("watermarks_in", static_cast<int64_t>(c.watermarks_in));
-  num("watermarks_broadcast",
-      static_cast<int64_t>(c.watermarks_broadcast));
-  num("watermarks_ignored", static_cast<int64_t>(c.watermarks_ignored));
-  num("acks_received", static_cast<int64_t>(c.acks_received));
-  num("results_fanned", static_cast<int64_t>(c.results_fanned));
-  num("backend_connects", static_cast<int64_t>(c.backend_connects));
-  num("backend_disconnects",
-      static_cast<int64_t>(c.backend_disconnects));
-  num("backend_retries", static_cast<int64_t>(c.backend_retries));
-  num("replayed_tuples", static_cast<int64_t>(c.replayed_tuples));
-  num("replay_dropped_tuples",
-      static_cast<int64_t>(c.replay_dropped_tuples));
-  num("hellos_rejected", static_cast<int64_t>(c.hellos_rejected));
-  num("cluster_watermark", c.cluster_watermark);
-  num("min_backend_acked", c.min_backend_acked);
-  j += "\"run_finished\":";
-  j += run_finished_.load(std::memory_order_relaxed) ? "true" : "false";
-  j += ",\"backends\":[";
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    const Backend& b = *backends_[i];
-    if (i > 0) j += ",";
-    j += "{\"id\":" + std::to_string(b.id);
-    j += ",\"state\":\"";
-    j += BackendStateName(static_cast<uint8_t>(b.state));
-    j += "\",\"healthy\":";
-    j += b.health_ok ? "true" : "false";
-    j += ",\"durable_exact\":";
-    j += b.durable_exact ? "true" : "false";
-    j += ",\"acked_watermark\":" + std::to_string(b.acked);
-    j += ",\"replay_buffered_tuples\":" +
-         std::to_string(b.replay.buffered_tuples());
-    j += ",\"replay_dropped_tuples\":" +
-         std::to_string(b.replay.dropped_tuples());
-    j += ",\"tuples_sent\":" + std::to_string(b.tuples_sent);
-    j += ",\"watermarks_sent\":" + std::to_string(b.watermarks_sent);
-    j += ",\"acks\":" + std::to_string(b.acks);
-    j += ",\"connects\":" + std::to_string(b.connects);
-    j += ",\"disconnects\":" + std::to_string(b.disconnects);
-    j += ",\"replays\":" + std::to_string(b.replays);
-    j += "}";
-  }
-  j += "]}";
-  j += "\n";
-  return j;
-}
-
-std::string OijRouter::RenderMetrics() {
-  const RouterCounters c = CountersSnapshot();
-  PrometheusWriter w;
-  w.Counter("oij_router_tuples_in_total", "Tuple frames from clients",
-            static_cast<double>(c.tuples_in));
-  w.Counter("oij_router_tuples_routed_total",
-            "Tuples forwarded to a backend",
-            static_cast<double>(c.tuples_routed));
-  w.Counter("oij_router_tuples_queued_sticky_total",
-            "Tuples buffered for a down sticky owner",
-            static_cast<double>(c.tuples_queued_sticky));
-  w.Counter("oij_router_tuples_failed_over_total",
-            "Tuples rerouted off their ring owner",
-            static_cast<double>(c.tuples_failed_over));
-  w.Counter("oij_router_tuples_dropped_total",
-            "Tuples with no eligible backend",
-            static_cast<double>(c.tuples_dropped));
-  w.Counter("oij_router_watermarks_broadcast_total",
-            "Watermarks broadcast to backends",
-            static_cast<double>(c.watermarks_broadcast));
-  w.Counter("oij_router_acks_total", "Watermark acks from backends",
-            static_cast<double>(c.acks_received));
-  w.Counter("oij_router_results_fanned_total",
-            "Result frames fanned to subscribers",
-            static_cast<double>(c.results_fanned));
-  w.Counter("oij_router_backend_retries_total",
-            "Backend reconnect attempts scheduled",
-            static_cast<double>(c.backend_retries));
-  w.Counter("oij_router_replayed_tuples_total",
-            "Tuples resent to recovered backends",
-            static_cast<double>(c.replayed_tuples));
-  w.Counter("oij_router_replay_dropped_tuples_total",
-            "Replay-buffer tuples lost to overflow or failover",
-            static_cast<double>(c.replay_dropped_tuples));
-  w.Counter("oij_router_clients_stalled_evicted_total",
-            "Clients dropped by the slow-loris sweep",
-            static_cast<double>(c.clients_stalled_evicted));
-  w.Counter("oij_router_subscribers_evicted_total",
-            "Subscribers dropped for egress backlog overflow",
-            static_cast<double>(c.subscribers_evicted));
-  w.Gauge("oij_router_cluster_watermark",
-          "Min-of-backends cluster watermark",
-          static_cast<double>(c.cluster_watermark));
-  w.Gauge("oij_router_clients_open", "Open client data connections",
-          static_cast<double>(c.clients_open));
+RouterSnapshot OijRouter::BuildSnapshot() const {
+  RouterSnapshot snap;
+  snap.counters = CountersSnapshot();
+  snap.run_finished = run_finished_.load(std::memory_order_relaxed);
   for (const auto& backend : backends_) {
-    PrometheusLabels labels{{"backend", std::to_string(backend->id)}};
-    const HealthChecker::TargetStats hs = health_->StatsOf(backend->id);
-    w.Gauge("oij_router_backend_healthy",
-            "1 when the backend passes health checks", backend->health_ok,
-            labels);
-    w.Gauge("oij_router_backend_active",
-            "1 when the backend connection is active",
-            backend->state == BackendState::kActive ? 1.0 : 0.0, labels);
-    w.Gauge("oij_router_backend_acked_watermark",
-            "Latest durability-acked watermark",
-            static_cast<double>(backend->acked), labels);
-    w.Gauge("oij_router_backend_replay_buffered_tuples",
-            "Un-acked tuples held for replay",
-            static_cast<double>(backend->replay.buffered_tuples()), labels);
-    w.Counter("oij_router_backend_health_probes_total",
-              "Active health probes", static_cast<double>(hs.probes),
-              labels);
-    w.Counter("oij_router_backend_health_failures_total",
-              "Failed health probes (active + passive)",
-              static_cast<double>(hs.failures), labels);
-    w.Counter("oij_router_backend_ejections_total",
-              "Outlier ejections", static_cast<double>(hs.ejections),
-              labels);
-    w.Counter("oij_router_backend_readmissions_total",
-              "Re-admissions after recovery",
-              static_cast<double>(hs.readmissions), labels);
+    RouterBackendRow row;
+    row.id = backend->id;
+    row.state = BackendStateName(static_cast<uint8_t>(backend->state));
+    row.active = backend->state == BackendState::kActive;
+    row.healthy = backend->health_ok;
+    row.durable_exact = backend->durable_exact;
+    row.acked = backend->acked;
+    row.replay_buffered_tuples = backend->replay.buffered_tuples();
+    row.replay_dropped_tuples = backend->replay.dropped_tuples();
+    row.tuples_sent = backend->tuples_sent;
+    row.watermarks_sent = backend->watermarks_sent;
+    row.acks = backend->acks;
+    row.connects = backend->connects;
+    row.disconnects = backend->disconnects;
+    row.replays = backend->replays;
+    row.probes = health_->StatsOf(backend->id);
+    snap.backends.push_back(row);
   }
-  return w.Take();
+  return snap;
 }
 
 }  // namespace oij

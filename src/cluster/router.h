@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/backoff.h"
@@ -15,7 +14,9 @@
 #include "cluster/hash_ring.h"
 #include "cluster/health_checker.h"
 #include "cluster/replay_buffer.h"
+#include "cluster/router_admin.h"
 #include "common/status.h"
+#include "net/conn_table.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/timer_queue.h"
@@ -70,34 +71,6 @@ struct RouterConfig {
   uint64_t seed = 1;
 };
 
-/// Cross-thread router counters (atomics snapshot, like ServerCounters).
-struct RouterCounters {
-  uint64_t clients_accepted = 0;
-  uint64_t clients_open = 0;
-  uint64_t clients_stalled_evicted = 0;
-  uint64_t subscribers = 0;
-  uint64_t subscribers_evicted = 0;
-  uint64_t tuples_in = 0;
-  uint64_t tuples_routed = 0;
-  uint64_t tuples_queued_sticky = 0;  ///< buffered for a down sticky owner
-  uint64_t tuples_failed_over = 0;    ///< rerouted off the owner
-  uint64_t tuples_dropped = 0;        ///< no eligible backend at all
-  uint64_t watermarks_in = 0;
-  uint64_t watermarks_broadcast = 0;
-  uint64_t watermarks_ignored = 0;  ///< non-increasing, not broadcast
-  uint64_t acks_received = 0;
-  uint64_t results_fanned = 0;
-  uint64_t backend_connects = 0;
-  uint64_t backend_disconnects = 0;
-  uint64_t backend_retries = 0;
-  uint64_t replayed_tuples = 0;  ///< resent after backend recovery
-  uint64_t replay_dropped_tuples = 0;
-  int64_t cluster_watermark = INT64_MIN;
-  int64_t min_backend_acked = INT64_MIN;
-  uint64_t hellos_rejected = 0;
-  uint64_t admin_requests = 0;
-};
-
 /// Health-gated consistent-hash ingress router over N oij_server
 /// backends (ROADMAP item 2; modeled on Envoy's upstream machinery).
 ///
@@ -135,8 +108,8 @@ class OijRouter {
   Status Start();
   void Shutdown();
 
-  uint16_t data_port() const { return data_port_; }
-  uint16_t admin_port() const { return admin_port_; }
+  uint16_t data_port() const { return conns_.data_port(); }
+  uint16_t admin_port() const { return conns_.admin_port(); }
 
   bool run_finished() const {
     return run_finished_.load(std::memory_order_acquire);
@@ -145,17 +118,6 @@ class OijRouter {
   RouterCounters CountersSnapshot() const;
 
  private:
-  struct ClientConn {
-    explicit ClientConn(int fd) : tcp(fd) {}
-    TcpConnection tcp;
-    WireDecoder decoder;
-    bool is_admin = false;
-    bool subscriber = false;
-    bool saw_frame = false;
-    /// Last time a complete frame finished decoding (stall sweep).
-    int64_t last_frame_ms = 0;
-  };
-
   enum class BackendState : uint8_t {
     kDisconnected = 0,
     kConnecting,
@@ -219,21 +181,15 @@ class OijRouter {
     return backend.state == BackendState::kActive && backend.health_ok;
   }
   void FlushBackend(Backend* backend);
+  /// Writes what a client read's frames queued to the backends: one
+  /// flush per read keeps syscalls off the per-frame path, and flushing
+  /// before the loop turns to backend results keeps the backends busy.
+  void FlushBackends();
 
   // --- client plane ---
-  void OnDataAccept();
-  void OnAdminAccept();
-  void OnClientEvent(int fd, uint32_t ready);
-  void ProcessClientInput(ClientConn* conn);
-  bool HandleClientFrame(ClientConn* conn, const WireFrame& frame);
-  void ProcessAdminInput(ClientConn* conn);
+  bool HandleClientFrame(Conn* conn, const WireFrame& frame);
   void RouteTuple(const StreamEvent& event);
   void BroadcastWatermark(Timestamp watermark);
-  void FanResultToSubscribers(const JoinResult& result);
-  void FanFramesToSubscribers(const std::string& frames);
-  void SendClientError(ClientConn* conn, const std::string& message);
-  void FlushClient(ClientConn* conn);
-  void CloseClient(int fd);
   void SweepStalledClients();
 
   // --- watermark + finish ---
@@ -242,16 +198,12 @@ class OijRouter {
   void BroadcastFinish();
   void CompleteFinish();
 
-  std::string RenderStatz();
-  std::string RenderMetrics();
+  RouterSnapshot BuildSnapshot() const;
 
   RouterConfig config_;
   EventLoop loop_;
   TimerQueue timers_;
-  TcpListener data_listener_;
-  TcpListener admin_listener_;
-  uint16_t data_port_ = 0;
-  uint16_t admin_port_ = 0;
+  ConnTable conns_;
 
   std::thread loop_thread_;
   std::atomic<bool> stop_{false};
@@ -262,7 +214,6 @@ class OijRouter {
   HashRing ring_;
   ClusterWatermark cluster_wm_;
   std::unique_ptr<HealthChecker> health_;
-  std::unordered_map<int, std::unique_ptr<ClientConn>> clients_;
   Timestamp last_broadcast_wm_ = kMinTimestamp;
   /// Every kAddQuery/kRemoveQuery frame accepted, in order. Broadcast
   /// to all backends as it arrives and resent in full to every backend
@@ -272,19 +223,15 @@ class OijRouter {
   bool finish_requested_ = false;
   bool finish_broadcast_ = false;
   int64_t finish_requested_ms_ = 0;
-  int finisher_fd_ = -1;
   std::string merged_summary_;
   TimerQueue::TimerId stall_sweep_timer_ = 0;
 
   // Cross-thread.
   std::atomic<bool> run_finished_{false};
 
-  // Counters (loop thread writes; any thread reads).
-  std::atomic<uint64_t> clients_accepted_{0};
-  std::atomic<uint64_t> clients_open_{0};
+  // Counters beyond the connection table's (loop thread writes; any
+  // thread reads).
   std::atomic<uint64_t> clients_stalled_evicted_{0};
-  std::atomic<uint64_t> subscribers_{0};
-  std::atomic<uint64_t> subscribers_evicted_{0};
   std::atomic<uint64_t> tuples_in_{0};
   std::atomic<uint64_t> tuples_routed_{0};
   std::atomic<uint64_t> tuples_queued_sticky_{0};
@@ -300,10 +247,11 @@ class OijRouter {
   std::atomic<uint64_t> backend_retries_{0};
   std::atomic<uint64_t> replayed_tuples_{0};
   std::atomic<uint64_t> replay_dropped_tuples_{0};
-  std::atomic<int64_t> cluster_watermark_{INT64_MIN};
-  std::atomic<int64_t> min_backend_acked_{INT64_MIN};
-  std::atomic<uint64_t> hellos_rejected_{0};
-  std::atomic<uint64_t> admin_requests_{0};
+  std::atomic<int64_t> cluster_watermark_{kMinTimestamp};
+  std::atomic<int64_t> min_backend_acked_{kMinTimestamp};
+  /// Backends whose hello reply was incompatible; clients' refused
+  /// hellos are counted by the connection table.
+  std::atomic<uint64_t> backend_hellos_rejected_{0};
 };
 
 }  // namespace oij

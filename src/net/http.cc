@@ -133,4 +133,19 @@ std::string BuildHttpResponse(int status_code, std::string_view content_type,
   return out;
 }
 
+std::string ServeAdminPages(const HttpRequest& request,
+                            std::initializer_list<AdminPage> pages) {
+  if (request.method != "GET") {
+    return BuildHttpResponse(405, kTextContentType, "only GET is supported\n");
+  }
+  for (const AdminPage& page : pages) {
+    if (request.path != page.path) continue;
+    int code = 200;
+    const std::string body = page.render(&code);
+    return BuildHttpResponse(code, page.content_type, body);
+  }
+  return BuildHttpResponse(404, kTextContentType,
+                           "unknown path: " + request.path + "\n");
+}
+
 }  // namespace oij

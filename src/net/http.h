@@ -1,6 +1,8 @@
 #ifndef OIJ_NET_HTTP_H_
 #define OIJ_NET_HTTP_H_
 
+#include <functional>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -35,6 +37,27 @@ std::string BuildHttpResponse(int status_code, std::string_view content_type,
 
 /// "200 OK", "404 Not Found", ... (a handful the admin endpoint uses).
 std::string_view HttpStatusText(int status_code);
+
+/// Content types of the admin pages.
+inline constexpr std::string_view kTextContentType =
+    "text/plain; charset=utf-8";
+inline constexpr std::string_view kJsonContentType = "application/json";
+inline constexpr std::string_view kMetricsContentType =
+    "text/plain; version=0.0.4; charset=utf-8";
+
+/// One GET page of an admin endpoint. `render` returns the body and may
+/// replace the status code, which starts at 200 (e.g. 503 on /healthz).
+struct AdminPage {
+  std::string_view path;
+  std::string_view content_type;
+  std::function<std::string(int* status_code)> render;
+};
+
+/// Answers a GET-only admin request from `pages`: 405 for any other
+/// method, 404 for a path no page serves. oij_server and oij_router both
+/// answer through this, so their error bodies and content types agree.
+std::string ServeAdminPages(const HttpRequest& request,
+                            std::initializer_list<AdminPage> pages);
 
 }  // namespace oij
 

@@ -1,114 +1,15 @@
 #include "server/admin.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 
 #include "core/run_summary.h"
+#include "metrics/json_out.h"
 #include "metrics/prometheus.h"
 
 namespace oij {
 
 namespace {
-
-/// Minimal append-style JSON builder (objects/arrays nested by hand at
-/// the call site; this only handles correct escaping and number forms).
-class JsonOut {
- public:
-  void Raw(std::string_view s) { out_.append(s); }
-
-  void Key(std::string_view name) {
-    String(name);  // String() emits the separating comma
-    out_ += ":";
-    pending_comma_ = false;
-  }
-
-  void String(std::string_view s) {
-    Comma();
-    out_ += '"';
-    for (char c : s) {
-      switch (c) {
-        case '"':
-          out_ += "\\\"";
-          break;
-        case '\\':
-          out_ += "\\\\";
-          break;
-        case '\n':
-          out_ += "\\n";
-          break;
-        case '\r':
-          out_ += "\\r";
-          break;
-        case '\t':
-          out_ += "\\t";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-    out_ += '"';
-    pending_comma_ = true;
-  }
-
-  void Number(double v) {
-    Comma();
-    if (!std::isfinite(v)) {
-      Raw("null");
-    } else if (v == std::floor(v) && std::abs(v) < 1e15) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.0f", v);
-      Raw(buf);
-    } else {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", v);
-      Raw(buf);
-    }
-    pending_comma_ = true;
-  }
-
-  void Number(uint64_t v) { Number(static_cast<double>(v)); }
-  void Number(int64_t v) { Number(static_cast<double>(v)); }
-
-  void Bool(bool v) {
-    Comma();
-    Raw(v ? "true" : "false");
-    pending_comma_ = true;
-  }
-
-  void Null() {
-    Comma();
-    Raw("null");
-    pending_comma_ = true;
-  }
-
-  void Open(char bracket) {
-    Comma();
-    out_ += bracket;
-    pending_comma_ = false;
-  }
-  void Close(char bracket) {
-    out_ += bracket;
-    pending_comma_ = true;
-  }
-
-  std::string Take() { return std::move(out_); }
-
- private:
-  void Comma() {
-    if (pending_comma_) out_ += ',';
-    pending_comma_ = false;
-  }
-
-  std::string out_;
-  bool pending_comma_ = false;
-};
 
 /// Emits the standing-query catalog as a JSON array (shared by /statz
 /// and /queries).
@@ -116,36 +17,22 @@ void AppendQueryRows(JsonOut& j, const std::vector<QueryStatsRow>& queries) {
   j.Open('[');
   for (const QueryStatsRow& q : queries) {
     j.Open('{');
-    j.Key("id");
-    j.String(q.id);
-    j.Key("ord");
-    j.Number(static_cast<uint64_t>(q.ord));
-    j.Key("active");
-    j.Bool(q.active);
-    j.Key("pre");
-    j.Number(static_cast<int64_t>(q.spec.window.pre));
-    j.Key("fol");
-    j.Number(static_cast<int64_t>(q.spec.window.fol));
-    j.Key("lateness");
-    j.Number(static_cast<int64_t>(q.spec.lateness_us));
-    j.Key("agg");
-    j.String(AggKindName(q.spec.agg));
-    j.Key("emit");
-    j.String(EmitModeName(q.spec.emit_mode));
-    j.Key("late_policy");
-    j.String(LatePolicyName(q.spec.late_policy));
-    j.Key("results");
-    j.Number(q.results);
+    j.Field("id", q.id);
+    j.Field("ord", q.ord);
+    j.Field("active", q.active);
+    j.Field("pre", q.spec.window.pre);
+    j.Field("fol", q.spec.window.fol);
+    j.Field("lateness", q.spec.lateness_us);
+    j.Field("agg", AggKindName(q.spec.agg));
+    j.Field("emit", EmitModeName(q.spec.emit_mode));
+    j.Field("late_policy", LatePolicyName(q.spec.late_policy));
+    j.Field("results", q.results);
     j.Key("late");
     j.Open('{');
-    j.Key("tuples");
-    j.Number(q.late.tuples);
-    j.Key("joined");
-    j.Number(q.late.joined);
-    j.Key("dropped");
-    j.Number(q.late.dropped);
-    j.Key("side_channel");
-    j.Number(q.late.side_channel);
+    j.Field("tuples", q.late.tuples);
+    j.Field("joined", q.late.joined);
+    j.Field("dropped", q.late.dropped);
+    j.Field("side_channel", q.late.side_channel);
     j.Close('}');
     j.Close('}');
   }
@@ -400,114 +287,61 @@ std::string RenderPrometheusMetrics(const AdminSnapshot& snap) {
 std::string RenderStatzJson(const AdminSnapshot& snap) {
   JsonOut j;
   j.Open('{');
-  j.Key("state");
-  j.String(snap.recovering ? "recovering"
-                           : (snap.run_finished ? "finished" : "serving"));
-  j.Key("engine");
-  j.String(snap.engine_name);
-  j.Key("workload");
-  j.String(snap.workload_name);
-  j.Key("uptime_seconds");
-  j.Number(snap.uptime_seconds);
+  j.Field("state", snap.recovering     ? "recovering"
+                   : snap.run_finished ? "finished"
+                                       : "serving");
+  j.Field("engine", snap.engine_name);
+  j.Field("workload", snap.workload_name);
+  j.Field("uptime_seconds", snap.uptime_seconds);
 
   j.Key("health");
   j.Open('{');
-  j.Key("ok");
-  j.Bool(snap.health.ok());
-  j.Key("status");
-  j.String(snap.health.ToString());
+  j.Field("ok", snap.health.ok());
+  j.Field("status", snap.health.ToString());
   j.Close('}');
 
   const ServerCounters& c = snap.counters;
   j.Key("server");
   j.Open('{');
-  j.Key("connections_accepted");
-  j.Number(c.connections_accepted);
-  j.Key("connections_open");
-  j.Number(c.connections_open);
-  j.Key("admin_requests");
-  j.Number(c.admin_requests);
-  j.Key("bytes_in");
-  j.Number(c.bytes_in);
-  j.Key("bytes_out");
-  j.Number(c.bytes_out);
-  j.Key("frames_in");
-  j.Number(c.frames_in);
-  j.Key("frames_rejected");
-  j.Number(c.frames_rejected);
-  j.Key("tuples_in");
-  j.Number(c.tuples_in);
-  j.Key("watermarks_in");
-  j.Number(c.watermarks_in);
-  j.Key("results_streamed");
-  j.Number(c.results_streamed);
-  j.Key("subscribers");
-  j.Number(c.subscribers);
-  j.Key("subscribers_evicted");
-  j.Number(c.subscribers_evicted);
-  j.Key("watermark_acks");
-  j.Number(c.watermark_acks);
-  j.Key("hellos_rejected");
-  j.Number(c.hellos_rejected);
+  j.Field("connections_accepted", c.connections_accepted);
+  j.Field("connections_open", c.connections_open);
+  j.Field("admin_requests", c.admin_requests);
+  j.Field("bytes_in", c.bytes_in);
+  j.Field("bytes_out", c.bytes_out);
+  j.Field("frames_in", c.frames_in);
+  j.Field("frames_rejected", c.frames_rejected);
+  j.Field("tuples_in", c.tuples_in);
+  j.Field("watermarks_in", c.watermarks_in);
+  j.Field("results_streamed", c.results_streamed);
+  j.Field("subscribers", c.subscribers);
+  j.Field("subscribers_evicted", c.subscribers_evicted);
+  j.Field("watermark_acks", c.watermark_acks);
+  j.Field("hellos_rejected", c.hellos_rejected);
   j.Close('}');
 
   j.Key("engine_progress");
   j.Open('{');
-  j.Key("accepted_tuples");
-  j.Number(snap.progress.pushed);
-  j.Key("watermarks");
-  j.Number(snap.progress.watermarks);
-  j.Key("queue_depths");
-  j.Open('[');
-  for (size_t d : snap.progress.queue_depths) {
-    j.Number(static_cast<uint64_t>(d));
-  }
-  j.Close(']');
-  j.Key("consumed");
-  j.Open('[');
-  for (uint64_t v : snap.progress.consumed) j.Number(v);
-  j.Close(']');
+  j.Field("accepted_tuples", snap.progress.pushed);
+  j.Field("watermarks", snap.progress.watermarks);
+  j.Array("queue_depths", snap.progress.queue_depths);
+  j.Array("consumed", snap.progress.consumed);
   j.Key("memory");
   j.Open('{');
-  j.Key("arena_bytes");
-  j.Number(snap.progress.arena_bytes);
-  j.Key("arena_live_nodes");
-  j.Number(snap.progress.arena_live_nodes);
-  j.Key("ebr_retired_backlog");
-  j.Number(snap.progress.ebr_retired_backlog);
-  j.Key("arena_slab_recycles");
-  j.Number(snap.progress.arena_slab_recycles);
+  j.Field("arena_bytes", snap.progress.arena_bytes);
+  j.Field("arena_live_nodes", snap.progress.arena_live_nodes);
+  j.Field("ebr_retired_backlog", snap.progress.ebr_retired_backlog);
+  j.Field("arena_slab_recycles", snap.progress.arena_slab_recycles);
   j.Close('}');
   j.Key("numa");
   j.Open('{');
-  j.Key("active");
-  j.Bool(snap.progress.numa_active);
-  j.Key("nodes");
-  j.Number(static_cast<uint64_t>(snap.progress.numa_nodes));
-  j.Key("pin_cpus");
-  j.Open('[');
-  for (int cpu : snap.progress.numa_pin_cpus) {
-    j.Number(static_cast<int64_t>(cpu));
-  }
-  j.Close(']');
-  j.Key("joiner_node");
-  j.Open('[');
-  for (uint32_t n : snap.progress.numa_joiner_node) {
-    j.Number(static_cast<uint64_t>(n));
-  }
-  j.Close(']');
-  j.Key("per_node_arena_bytes");
-  j.Open('[');
-  for (uint64_t v : snap.progress.per_node_arena_bytes) j.Number(v);
-  j.Close(']');
-  j.Key("per_node_arena_live_nodes");
-  j.Open('[');
-  for (uint64_t v : snap.progress.per_node_arena_live_nodes) j.Number(v);
-  j.Close(']');
-  j.Key("cross_replications");
-  j.Number(snap.progress.numa_cross_replications);
-  j.Key("cross_dispatches");
-  j.Number(snap.progress.numa_cross_dispatches);
+  j.Field("active", snap.progress.numa_active);
+  j.Field("nodes", snap.progress.numa_nodes);
+  j.Array("pin_cpus", snap.progress.numa_pin_cpus);
+  j.Array("joiner_node", snap.progress.numa_joiner_node);
+  j.Array("per_node_arena_bytes", snap.progress.per_node_arena_bytes);
+  j.Array("per_node_arena_live_nodes", snap.progress.per_node_arena_live_nodes);
+  j.Field("cross_replications", snap.progress.numa_cross_replications);
+  j.Field("cross_dispatches", snap.progress.numa_cross_dispatches);
   j.Close('}');
   j.Close('}');
 
@@ -520,38 +354,25 @@ std::string RenderStatzJson(const AdminSnapshot& snap) {
     const WalStats& wal = snap.wal;
     j.Key("wal");
     j.Open('{');
-    j.Key("recovering");
-    j.Bool(snap.recovering);
-    j.Key("appended_records");
-    j.Number(wal.appended_records);
-    j.Key("appended_bytes");
-    j.Number(wal.appended_bytes);
-    j.Key("synced_records");
-    j.Number(wal.synced_records);
-    j.Key("fsyncs");
-    j.Number(wal.fsyncs);
-    j.Key("fsync_failures");
-    j.Number(wal.fsync_failures);
-    j.Key("short_writes");
-    j.Number(wal.short_writes);
-    j.Key("snapshots_taken");
-    j.Number(wal.snapshots_taken);
-    j.Key("snapshot_records");
-    j.Number(wal.snapshot_records);
+    j.Field("recovering", snap.recovering);
+    j.Field("appended_records", wal.appended_records);
+    j.Field("appended_bytes", wal.appended_bytes);
+    j.Field("synced_records", wal.synced_records);
+    j.Field("fsyncs", wal.fsyncs);
+    j.Field("fsync_failures", wal.fsync_failures);
+    j.Field("short_writes", wal.short_writes);
+    j.Field("snapshots_taken", wal.snapshots_taken);
+    j.Field("snapshot_records", wal.snapshot_records);
     j.Key("snapshot_age_seconds");
     if (snap.snapshot_age_seconds >= 0.0) {
       j.Number(snap.snapshot_age_seconds);
     } else {
       j.Null();  // no snapshot yet; -1 would read as a real age
     }
-    j.Key("replay_records");
-    j.Number(wal.replay_records);
-    j.Key("replay_watermarks");
-    j.Number(wal.replay_watermarks);
-    j.Key("torn_records");
-    j.Number(wal.torn_records);
-    j.Key("recovery_duration_us");
-    j.Number(wal.recovery_duration_us);
+    j.Field("replay_records", wal.replay_records);
+    j.Field("replay_watermarks", wal.replay_watermarks);
+    j.Field("torn_records", wal.torn_records);
+    j.Field("recovery_duration_us", wal.recovery_duration_us);
     j.Close('}');
   }
 
@@ -560,85 +381,50 @@ std::string RenderStatzJson(const AdminSnapshot& snap) {
     const EngineStats& st = run.stats;
     j.Key("run");
     j.Open('{');
-    j.Key("tuples");
-    j.Number(run.tuples);
-    j.Key("elapsed_seconds");
-    j.Number(run.elapsed_seconds);
-    j.Key("throughput_tps");
-    j.Number(run.throughput_tps);
-    j.Key("results");
-    j.Number(st.results);
+    j.Field("tuples", run.tuples);
+    j.Field("elapsed_seconds", run.elapsed_seconds);
+    j.Field("throughput_tps", run.throughput_tps);
+    j.Field("results", st.results);
     j.Key("latency_us");
     j.Open('{');
-    j.Key("p50");
-    j.Number(st.latency.Percentile(0.50));
-    j.Key("p90");
-    j.Number(st.latency.Percentile(0.90));
-    j.Key("p99");
-    j.Number(st.latency.Percentile(0.99));
-    j.Key("max");
-    j.Number(st.latency.max_us());
-    j.Key("mean");
-    j.Number(st.latency.mean_us());
+    j.Field("p50", st.latency.Percentile(0.50));
+    j.Field("p90", st.latency.Percentile(0.90));
+    j.Field("p99", st.latency.Percentile(0.99));
+    j.Field("max", st.latency.max_us());
+    j.Field("mean", st.latency.mean_us());
     j.Close('}');
     j.Key("late");
     j.Open('{');
-    j.Key("tuples");
-    j.Number(st.late.tuples);
-    j.Key("dropped");
-    j.Number(st.late.dropped);
-    j.Key("side_channel");
-    j.Number(st.late.side_channel);
-    j.Key("joined");
-    j.Number(st.late.joined);
+    j.Field("tuples", st.late.tuples);
+    j.Field("dropped", st.late.dropped);
+    j.Field("side_channel", st.late.side_channel);
+    j.Field("joined", st.late.joined);
     j.Close('}');
     j.Key("overload");
     j.Open('{');
-    j.Key("dropped");
-    j.Number(st.overload_dropped);
-    j.Key("shed");
-    j.Number(st.overload_shed);
-    j.Key("control_lost");
-    j.Number(st.control_lost);
+    j.Field("dropped", st.overload_dropped);
+    j.Field("shed", st.overload_shed);
+    j.Field("control_lost", st.control_lost);
     j.Close('}');
     j.Key("memory");
     j.Open('{');
-    j.Key("pooled");
-    j.Bool(st.mem.pooled);
-    j.Key("arena_reserved_bytes");
-    j.Number(st.mem.arena_reserved_bytes);
-    j.Key("arena_live_nodes");
-    j.Number(st.mem.arena_live_nodes);
-    j.Key("arena_allocations");
-    j.Number(st.mem.arena_allocations);
-    j.Key("arena_slab_recycles");
-    j.Number(st.mem.arena_slab_recycles);
-    j.Key("ebr_retired_backlog");
-    j.Number(st.mem.ebr_retired_backlog);
+    j.Field("pooled", st.mem.pooled);
+    j.Field("arena_reserved_bytes", st.mem.arena_reserved_bytes);
+    j.Field("arena_live_nodes", st.mem.arena_live_nodes);
+    j.Field("arena_allocations", st.mem.arena_allocations);
+    j.Field("arena_slab_recycles", st.mem.arena_slab_recycles);
+    j.Field("ebr_retired_backlog", st.mem.ebr_retired_backlog);
     j.Close('}');
     j.Key("numa");
     j.Open('{');
-    j.Key("active");
-    j.Bool(st.numa_active);
-    j.Key("nodes");
-    j.Number(static_cast<uint64_t>(st.numa_nodes));
-    j.Key("per_node_arena_bytes");
-    j.Open('[');
-    for (uint64_t v : st.numa_node_arena_bytes) j.Number(v);
-    j.Close(']');
-    j.Key("per_node_arena_live_nodes");
-    j.Open('[');
-    for (uint64_t v : st.numa_node_arena_live_nodes) j.Number(v);
-    j.Close(']');
-    j.Key("cross_replications");
-    j.Number(st.numa_cross_replications);
-    j.Key("cross_dispatches");
-    j.Number(st.numa_cross_dispatches);
+    j.Field("active", st.numa_active);
+    j.Field("nodes", st.numa_nodes);
+    j.Array("per_node_arena_bytes", st.numa_node_arena_bytes);
+    j.Array("per_node_arena_live_nodes", st.numa_node_arena_live_nodes);
+    j.Field("cross_replications", st.numa_cross_replications);
+    j.Field("cross_dispatches", st.numa_cross_dispatches);
     j.Close('}');
-    j.Key("warnings");
-    j.Open('[');
-    for (const std::string& w : st.warnings) j.String(w);
-    j.Close(']');
+    j.Array("warnings", st.warnings);
     j.Close('}');
   }
   j.Close('}');
@@ -848,15 +634,13 @@ std::string BuildQueryErrorResponse(const Status& status) {
   j.Open('{');
   j.Key("error");
   j.Open('{');
-  j.Key("code");
-  j.String(CodeName(status.code()));
-  j.Key("message");
-  j.String(status.message());
+  j.Field("code", CodeName(status.code()));
+  j.Field("message", status.message());
   j.Close('}');
   j.Close('}');
   std::string body = j.Take();
   body += '\n';
-  return BuildHttpResponse(HttpStatusForStatus(status), "application/json",
+  return BuildHttpResponse(HttpStatusForStatus(status), kJsonContentType,
                            body);
 }
 
@@ -877,33 +661,20 @@ std::string RenderHealthz(const AdminSnapshot& snap, int* status_code) {
 
 std::string HandleAdminRequest(const AdminSnapshot& snap,
                                const HttpRequest& request) {
-  if (request.method != "GET") {
-    return BuildHttpResponse(405, "text/plain; charset=utf-8",
-                             "only GET is supported\n");
-  }
-  if (request.path == "/metrics") {
-    return BuildHttpResponse(200, "text/plain; version=0.0.4; charset=utf-8",
-                             RenderPrometheusMetrics(snap));
-  }
-  if (request.path == "/healthz") {
-    int code = 200;
-    const std::string body = RenderHealthz(snap, &code);
-    return BuildHttpResponse(code, "text/plain; charset=utf-8", body);
-  }
-  if (request.path == "/statz") {
-    return BuildHttpResponse(200, "application/json", RenderStatzJson(snap));
-  }
-  if (request.path == "/queries") {
-    return BuildHttpResponse(200, "application/json",
-                             RenderQueriesJson(snap.queries));
-  }
-  if (request.path == "/") {
-    return BuildHttpResponse(
-        200, "text/plain; charset=utf-8",
-        "oij_server admin endpoints: /metrics /healthz /statz /queries\n");
-  }
-  return BuildHttpResponse(404, "text/plain; charset=utf-8",
-                           "unknown path: " + request.path + "\n");
+  return ServeAdminPages(
+      request,
+      {{"/metrics", kMetricsContentType,
+        [&](int*) { return RenderPrometheusMetrics(snap); }},
+       {"/healthz", kTextContentType,
+        [&](int* code) { return RenderHealthz(snap, code); }},
+       {"/statz", kJsonContentType,
+        [&](int*) { return RenderStatzJson(snap); }},
+       {"/queries", kJsonContentType,
+        [&](int*) { return RenderQueriesJson(snap.queries); }},
+       {"/", kTextContentType, [](int*) -> std::string {
+          return "oij_server admin endpoints: /metrics /healthz /statz "
+                 "/queries\n";
+        }}});
 }
 
 }  // namespace oij

@@ -9,34 +9,22 @@
 #include "common/watchdog.h"
 #include "core/pipeline.h"
 #include "join/engine.h"
+#include "net/conn_table.h"
 #include "net/http.h"
 #include "wal/wal.h"
 
 namespace oij {
 
-/// Point-in-time server counters rendered by the admin endpoint. The
-/// server snapshots its atomics into this plain struct so rendering is
-/// pure (unit-testable without sockets).
-struct ServerCounters {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_open = 0;
-  uint64_t admin_requests = 0;
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  uint64_t frames_in = 0;
+/// Point-in-time server counters rendered by the admin endpoint: the
+/// connection table's plus the data-plane ones. The server snapshots its
+/// atomics into this plain struct so rendering is pure (unit-testable
+/// without sockets).
+struct ServerCounters : ConnCounters {
   uint64_t tuples_in = 0;
   uint64_t watermarks_in = 0;
-  uint64_t frames_rejected = 0;
   uint64_t results_streamed = 0;
-  uint64_t subscribers = 0;
-  /// Subscribers force-dropped because their write backlog exceeded
-  /// ServerConfig::max_subscriber_backlog_bytes (stalled/half-open
-  /// peers must not wedge the egress path for everyone else).
-  uint64_t subscribers_evicted = 0;
   /// kWatermarkAck frames sent to hello'd peers that requested them.
   uint64_t watermark_acks = 0;
-  /// kHello frames refused (bad magic/version, or not the first frame).
-  uint64_t hellos_rejected = 0;
 };
 
 /// Everything the admin pages render, assembled by the server thread.

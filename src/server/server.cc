@@ -1,7 +1,6 @@
 #include "server/server.h"
 
 #include <utility>
-#include <vector>
 
 #include "common/clock.h"
 #include "core/run_summary.h"
@@ -54,7 +53,16 @@ class OijServer::EgressSink : public ResultSink {
   uint64_t pending_ = 0;
 };
 
-OijServer::OijServer(const ServerConfig& config) : config_(config) {}
+OijServer::OijServer(const ServerConfig& config)
+    : config_(config),
+      conns_(&loop_, config.max_subscriber_backlog_bytes,
+             {.on_frame =
+                  [this](Conn* conn, const WireFrame& frame) {
+                    return HandleFrame(conn, frame);
+                  },
+              .on_admin = [this](const HttpRequest& request) {
+                return HandleAdmin(request);
+              }}) {}
 
 OijServer::~OijServer() { Shutdown(); }
 
@@ -62,23 +70,16 @@ Status OijServer::Start() {
   if (started_) return Status::FailedPrecondition("server already started");
   if (!loop_.ok()) return Status::Internal("event loop init failed");
 
-  Status s = data_listener_.Listen(config_.bind_address, config_.data_port);
+  Status s = conns_.Listen(config_.bind_address, config_.data_port,
+                           config_.admin_port);
   if (!s.ok()) return s;
-  s = admin_listener_.Listen(config_.bind_address, config_.admin_port);
-  if (!s.ok()) {
-    data_listener_.Close();
-    return s;
-  }
-  data_port_ = data_listener_.port();
-  admin_port_ = admin_listener_.port();
 
   sink_ = std::make_unique<EgressSink>(&loop_);
   engine_ =
       CreateEngine(config_.engine, config_.query, config_.options, sink_.get());
   s = engine_->Start();
   if (!s.ok()) {
-    data_listener_.Close();
-    admin_listener_.Close();
+    conns_.Shutdown();
     engine_.reset();
     return s;
   }
@@ -90,17 +91,11 @@ Status OijServer::Start() {
     s = engine_->BeginRecovery();
     if (!s.ok()) {
       engine_->Finish();
-      data_listener_.Close();
-      admin_listener_.Close();
+      conns_.Shutdown();
       engine_.reset();
       return s;
     }
   }
-
-  loop_.Add(data_listener_.fd(), kLoopReadable,
-            [this](uint32_t) { OnDataAccept(); });
-  loop_.Add(admin_listener_.fd(), kLoopReadable,
-            [this](uint32_t) { OnAdminAccept(); });
 
   started_ns_ = MonotonicNowNs();
   started_ = true;
@@ -121,22 +116,11 @@ void OijServer::Shutdown() {
 
 ServerCounters OijServer::CountersSnapshot() const {
   ServerCounters c;
-  c.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  c.connections_open = connections_open_.load(std::memory_order_relaxed);
-  c.admin_requests = admin_requests_.load(std::memory_order_relaxed);
-  c.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  c.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  c.frames_in = frames_in_.load(std::memory_order_relaxed);
+  static_cast<ConnCounters&>(c) = conns_.Counters();
   c.tuples_in = tuples_in_.load(std::memory_order_relaxed);
   c.watermarks_in = watermarks_in_.load(std::memory_order_relaxed);
-  c.frames_rejected = frames_rejected_.load(std::memory_order_relaxed);
   c.results_streamed = results_streamed_.load(std::memory_order_relaxed);
-  c.subscribers = subscribers_.load(std::memory_order_relaxed);
-  c.subscribers_evicted =
-      subscribers_evicted_.load(std::memory_order_relaxed);
   c.watermark_acks = watermark_acks_.load(std::memory_order_relaxed);
-  c.hellos_rejected = hellos_rejected_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -163,141 +147,18 @@ void OijServer::ServeLoop() {
   }
   if (!run_finished_.load(std::memory_order_acquire)) FinalizeRun();
   FlushAllBeforeExit();
-
-  loop_.Remove(data_listener_.fd());
-  loop_.Remove(admin_listener_.fd());
-  data_listener_.Close();
-  admin_listener_.Close();
-  std::vector<int> fds;
-  fds.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) fds.push_back(fd);
-  for (int fd : fds) CloseConn(fd);
-}
-
-void OijServer::OnDataAccept() {
-  data_listener_.AcceptAll([this](int fd) {
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    connections_open_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_unique<Conn>(fd);
-    Conn* raw = conn.get();
-    conns_.emplace(fd, std::move(conn));
-    loop_.Add(fd, kLoopReadable,
-              [this, fd](uint32_t ready) { OnConnEvent(fd, ready); });
-    (void)raw;
-  });
-}
-
-void OijServer::OnAdminAccept() {
-  admin_listener_.AcceptAll([this](int fd) {
-    auto conn = std::make_unique<Conn>(fd);
-    conn->is_admin = true;
-    conns_.emplace(fd, std::move(conn));
-    loop_.Add(fd, kLoopReadable,
-              [this, fd](uint32_t ready) { OnConnEvent(fd, ready); });
-  });
-}
-
-void OijServer::OnConnEvent(int fd, uint32_t ready) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  Conn* conn = it->second.get();
-
-  if (ready & kLoopError) {
-    CloseConn(fd);
-    return;
-  }
-  if (ready & kLoopWritable) {
-    if (conn->tcp.FlushWrites() == TcpConnection::IoResult::kError) {
-      CloseConn(fd);
-      return;
-    }
-    if (conn->tcp.close_after_flush() && !conn->tcp.wants_write()) {
-      CloseConn(fd);
-      return;
-    }
-    UpdateInterest(conn);
-  }
-  if (ready & kLoopReadable) {
-    size_t got = 0;
-    const TcpConnection::IoResult r = conn->tcp.ReadReady(&got);
-    bytes_in_.fetch_add(got, std::memory_order_relaxed);
-    if (r == TcpConnection::IoResult::kError) {
-      CloseConn(fd);
-      return;
-    }
-    // Process whatever arrived even on EOF: the peer may have sent its
-    // final frames and closed its write end in one burst.
-    if (conn->is_admin) {
-      ProcessAdminInput(conn);
-    } else {
-      ProcessDataInput(conn);
-    }
-    if (conns_.count(fd) == 0) return;  // processing closed it
-    if (r == TcpConnection::IoResult::kEof) {
-      if (conn->tcp.wants_write()) {
-        // Half-close: let queued output (e.g. a summary) drain first.
-        conn->tcp.set_close_after_flush(true);
-        UpdateInterest(conn);
-      } else {
-        CloseConn(fd);
-      }
-    }
-  }
-}
-
-void OijServer::ProcessDataInput(Conn* conn) {
-  if (conn->tcp.close_after_flush()) {
-    conn->tcp.input().clear();  // already tearing down; drop new bytes
-    return;
-  }
-  WireFrame frame;
-  std::string& in = conn->tcp.input();
-  conn->decoder.Feed(in);
-  in.clear();
-  while (true) {
-    const WireDecoder::Result r = conn->decoder.Next(&frame);
-    if (r == WireDecoder::Result::kNeedMore) return;
-    if (r == WireDecoder::Result::kCorrupt) {
-      frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, conn->decoder.error().ToString());
-      return;
-    }
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    if (!HandleFrame(conn, frame)) return;
-  }
+  conns_.Shutdown();
 }
 
 bool OijServer::HandleFrame(Conn* conn, const WireFrame& frame) {
-  const bool first_frame = !conn->saw_frame;
-  conn->saw_frame = true;
   switch (frame.type) {
     case FrameType::kHello: {
-      // Handshake is optional (bare clients keep working), but when a
-      // peer does send one it must lead, and a mismatched magic/version
-      // gets a clean kError — the frame itself decoded fine, so the
-      // refusal never poisons the decoder or strands buffered bytes.
-      if (!first_frame) {
-        hellos_rejected_.fetch_add(1, std::memory_order_relaxed);
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "hello must be the first frame");
-        return false;
-      }
-      if (!frame.hello.Compatible()) {
-        hellos_rejected_.fetch_add(1, std::memory_order_relaxed);
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn,
-                  "incompatible wire protocol: peer magic=" +
-                      std::to_string(frame.hello.magic) + " version=" +
-                      std::to_string(frame.hello.version) + ", want magic=" +
-                      std::to_string(kWireMagic) + " version=" +
-                      std::to_string(kWireVersion));
-        return false;
-      }
+      // Handshake is optional (bare clients keep working); the table
+      // already refused a misplaced or incompatible one.
       if (engine_->Recovering()) {
         // A well-meaning peer this early is told to come back; the
         // router treats it like a failed connect and backs off.
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "engine recovering; retry later");
+        conns_.SendError(conn, "engine recovering; retry later");
         return false;
       }
       conn->wants_acks = (frame.hello.flags & kHelloWantAcks) != 0;
@@ -312,26 +173,13 @@ bool OijServer::HandleFrame(Conn* conn, const WireFrame& frame) {
       AppendHelloFrame(&out, reply);
       const int fd = conn->tcp.fd();
       conn->tcp.QueueWrite(out);
-      FlushConn(conn);
-      return conns_.count(fd) != 0;
+      conns_.Flush(conn);
+      return conns_.Find(fd) != nullptr;
     }
-    case FrameType::kWatermarkAck:
-      frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, "server-to-client frame type received from client");
-      return false;
     case FrameType::kTuple: {
       tuples_in_.fetch_add(1, std::memory_order_relaxed);
       ++conn->tuples_received;
-      if (run_finished_.load(std::memory_order_relaxed)) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "run already finalized; tuple rejected");
-        return false;
-      }
-      if (engine_->Recovering()) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "engine recovering; tuple rejected");
-        return false;
-      }
+      if (Refused(conn, "tuple")) return false;
       if (!meter_started_) {
         meter_.Start();
         meter_started_ = true;
@@ -355,30 +203,25 @@ bool OijServer::HandleFrame(Conn* conn, const WireFrame& frame) {
         watermark_acks_.fetch_add(1, std::memory_order_relaxed);
         const int fd = conn->tcp.fd();
         conn->tcp.QueueWrite(out);
-        FlushConn(conn);
-        return conns_.count(fd) != 0;
+        conns_.Flush(conn);
+        return conns_.Find(fd) != nullptr;
       }
       return true;
     }
     case FrameType::kSubscribe:
-      if (!conn->subscriber) {
-        conn->subscriber = true;
-        subscribers_.fetch_add(1, std::memory_order_relaxed);
-      }
+      conns_.Subscribe(conn);
       return true;
     case FrameType::kFinish: {
       if (engine_->Recovering()) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "engine recovering; finish rejected");
+        conns_.SendError(conn, "engine recovering; finish rejected");
         return false;
       }
       const int fd = conn->tcp.fd();
       if (!run_finished_.load(std::memory_order_relaxed)) FinalizeRun();
       // FinalizeRun may have flushed-and-closed this very connection (it
       // was a subscriber); re-resolve before touching it again.
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) return false;
-      conn = it->second.get();
+      conn = conns_.Find(fd);
+      if (conn == nullptr) return false;
       // The summary answers the finisher too (subscribers already got
       // theirs inside FinalizeRun); either way this connection is done.
       if (!conn->subscriber) {
@@ -387,20 +230,11 @@ bool OijServer::HandleFrame(Conn* conn, const WireFrame& frame) {
         conn->tcp.QueueWrite(out);
       }
       conn->tcp.set_close_after_flush(true);
-      FlushConn(conn);
+      conns_.Flush(conn);
       return false;
     }
     case FrameType::kAddQuery: {
-      if (engine_->Recovering()) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "engine recovering; catalog change rejected");
-        return false;
-      }
-      if (run_finished_.load(std::memory_order_relaxed)) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "run already finalized; catalog change rejected");
-        return false;
-      }
+      if (Refused(conn, "catalog change")) return false;
       // The router re-broadcasts catalog frames to backends it
       // reconnects, so a duplicate add carrying an identical spec is an
       // idempotent no-op; a conflicting spec under the same id is a real
@@ -413,40 +247,40 @@ bool OijServer::HandleFrame(Conn* conn, const WireFrame& frame) {
       }
       const Status s = engine_->AddQuery(frame.query_id, frame.query_spec);
       if (!s.ok()) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "add-query rejected: " + s.ToString());
+        conns_.SendError(conn, "add-query rejected: " + s.ToString());
         return false;
       }
       return true;
     }
     case FrameType::kRemoveQuery: {
-      if (engine_->Recovering()) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "engine recovering; catalog change rejected");
-        return false;
-      }
-      if (run_finished_.load(std::memory_order_relaxed)) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "run already finalized; catalog change rejected");
-        return false;
-      }
+      if (Refused(conn, "catalog change")) return false;
       const Status s = engine_->RemoveQuery(frame.query_id);
       // NotFound = this remove already landed (router re-delivery);
       // treating it as success keeps catalog frames idempotent.
       if (!s.ok() && s.code() != Status::Code::kNotFound) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, "remove-query rejected: " + s.ToString());
+        conns_.SendError(conn, "remove-query rejected: " + s.ToString());
         return false;
       }
       return true;
     }
+    case FrameType::kWatermarkAck:
     case FrameType::kResult:
     case FrameType::kSummary:
     case FrameType::kError:
-      frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, "server-to-client frame type received from client");
+      conns_.SendError(conn,
+                       "server-to-client frame type received from client");
       return false;
   }
+  return true;
+}
+
+bool OijServer::Refused(Conn* conn, const char* what) {
+  const char* state = engine_->Recovering() ? "engine recovering"
+                      : run_finished_.load(std::memory_order_relaxed)
+                          ? "run already finalized"
+                          : nullptr;
+  if (state == nullptr) return false;
+  conns_.SendError(conn, std::string(state) + "; " + what + " rejected");
   return true;
 }
 
@@ -482,98 +316,16 @@ void OijServer::FinalizeRun() {
   DrainEgress();
   std::string summary_frame;
   AppendTextFrame(&summary_frame, FrameType::kSummary, summary_text_);
-  // FlushConn may close (erase) a connection, so never flush while
-  // range-iterating the map.
-  std::vector<int> fds;
-  fds.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) {
-    if (conn->subscriber) fds.push_back(fd);
-  }
-  for (int fd : fds) {
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;
-    Conn* conn = it->second.get();
-    conn->tcp.QueueWrite(summary_frame);
-    conn->tcp.set_close_after_flush(true);
-    FlushConn(conn);
-  }
+  conns_.SendFinal(summary_frame);
 }
 
 void OijServer::DrainEgress() {
   uint64_t count = 0;
   const std::string frames = sink_->Take(&count);
   if (frames.empty()) return;
-  bool delivered = false;
-  std::vector<int> fds;
-  fds.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) {
-    if (conn->subscriber && !conn->tcp.close_after_flush()) fds.push_back(fd);
-  }
-  for (int fd : fds) {
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;
-    it->second->tcp.QueueWrite(frames);
-    FlushConn(it->second.get());
-    // A subscriber that has stopped reading (stalled or silently gone)
-    // accumulates backlog; past the bound it is evicted so the run
-    // keeps serving the live ones. An outright write error was already
-    // closed by FlushConn above.
-    auto again = conns_.find(fd);
-    if (again != conns_.end() &&
-        again->second->tcp.pending_write_bytes() >
-            config_.max_subscriber_backlog_bytes) {
-      subscribers_evicted_.fetch_add(1, std::memory_order_relaxed);
-      CloseConn(fd);
-      continue;
-    }
-    delivered = true;
-  }
-  if (delivered) {
+  if (conns_.FanOut(frames)) {
     results_streamed_.fetch_add(count, std::memory_order_relaxed);
   }
-}
-
-void OijServer::SendError(Conn* conn, const std::string& message) {
-  std::string out;
-  AppendTextFrame(&out, FrameType::kError, message);
-  conn->tcp.QueueWrite(out);
-  conn->tcp.set_close_after_flush(true);
-  FlushConn(conn);
-}
-
-void OijServer::UpdateInterest(Conn* conn) {
-  uint32_t interest = 0;
-  if (!conn->tcp.close_after_flush()) interest |= kLoopReadable;
-  if (conn->tcp.wants_write()) interest |= kLoopWritable;
-  loop_.SetInterest(conn->tcp.fd(), interest);
-}
-
-void OijServer::FlushConn(Conn* conn) {
-  const size_t before = conn->tcp.pending_write_bytes();
-  if (conn->tcp.FlushWrites() == TcpConnection::IoResult::kError) {
-    CloseConn(conn->tcp.fd());
-    return;
-  }
-  const size_t after = conn->tcp.pending_write_bytes();
-  bytes_out_.fetch_add(before - after, std::memory_order_relaxed);
-  if (conn->tcp.close_after_flush() && !conn->tcp.wants_write()) {
-    CloseConn(conn->tcp.fd());
-    return;
-  }
-  UpdateInterest(conn);
-}
-
-void OijServer::CloseConn(int fd) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  if (it->second->subscriber) {
-    subscribers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  if (!it->second->is_admin) {
-    connections_open_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  loop_.Remove(fd);
-  conns_.erase(it);  // TcpConnection's destructor closes the fd
 }
 
 AdminSnapshot OijServer::BuildSnapshot() {
@@ -605,49 +357,17 @@ AdminSnapshot OijServer::BuildSnapshot() {
   return snap;
 }
 
-void OijServer::ProcessAdminInput(Conn* conn) {
-  if (conn->tcp.close_after_flush()) {
-    conn->tcp.input().clear();
-    return;
-  }
-  HttpRequest request;
-  size_t consumed = 0;
-  switch (ParseHttpRequest(conn->tcp.input(), &request, &consumed)) {
-    case HttpParseResult::kNeedMore:
-      return;
-    case HttpParseResult::kBad:
-      conn->tcp.input().clear();
-      conn->tcp.QueueWrite(BuildHttpResponse(
-          400, "text/plain; charset=utf-8", "malformed request\n"));
-      conn->tcp.set_close_after_flush(true);
-      FlushConn(conn);
-      return;
-    case HttpParseResult::kOk:
-      break;
-  }
-  conn->tcp.input().erase(0, consumed);
-  admin_requests_.fetch_add(1, std::memory_order_relaxed);
+std::string OijServer::HandleAdmin(const HttpRequest& request) {
   // The catalog-mutating verbs run here, on the loop thread — which is
   // the engine's single driver thread, so AddQuery/RemoveQuery need no
   // extra synchronization. Everything else routes to the pure renderer.
-  std::string response;
-  if (request.method == "POST" && request.path == "/queries") {
-    response = HandleAddQueryRequest(request);
-  } else if (request.method == "DELETE" &&
-             request.path.rfind("/queries/", 0) == 0) {
-    response = HandleRemoveQueryRequest(request.path.substr(9));
-  } else {
-    response = HandleAdminRequest(BuildSnapshot(), request);
-  }
-  conn->tcp.QueueWrite(response);
-  conn->tcp.set_close_after_flush(true);
-  FlushConn(conn);
-}
-
-std::string OijServer::HandleAddQueryRequest(const HttpRequest& request) {
+  const bool add = request.method == "POST" && request.path == "/queries";
+  const bool remove =
+      request.method == "DELETE" && request.path.rfind("/queries/", 0) == 0;
+  if (!add && !remove) return HandleAdminRequest(BuildSnapshot(), request);
   if (engine_->Recovering()) {
     return BuildHttpResponse(
-        503, "application/json",
+        503, kJsonContentType,
         "{\"error\":{\"code\":\"Unavailable\","
         "\"message\":\"engine recovering; retry later\"}}\n");
   }
@@ -655,6 +375,11 @@ std::string OijServer::HandleAddQueryRequest(const HttpRequest& request) {
     return BuildQueryErrorResponse(
         Status::FailedPrecondition("run already finalized"));
   }
+  return add ? HandleAddQueryRequest(request)
+             : HandleRemoveQueryRequest(request.path.substr(9));
+}
+
+std::string OijServer::HandleAddQueryRequest(const HttpRequest& request) {
   std::string id;
   QuerySpec spec;
   Status s = ParseQuerySpecJson(request.body, config_.query, &id, &spec);
@@ -663,24 +388,14 @@ std::string OijServer::HandleAddQueryRequest(const HttpRequest& request) {
   if (!s.ok()) return BuildQueryErrorResponse(s);
   // AddQuery validated the id against [A-Za-z0-9_.-]{1,64}, so embedding
   // it unescaped is safe.
-  return BuildHttpResponse(200, "application/json",
+  return BuildHttpResponse(200, kJsonContentType,
                            "{\"added\":\"" + id + "\"}\n");
 }
 
 std::string OijServer::HandleRemoveQueryRequest(const std::string& id) {
-  if (engine_->Recovering()) {
-    return BuildHttpResponse(
-        503, "application/json",
-        "{\"error\":{\"code\":\"Unavailable\","
-        "\"message\":\"engine recovering; retry later\"}}\n");
-  }
-  if (run_finished_.load(std::memory_order_relaxed)) {
-    return BuildQueryErrorResponse(
-        Status::FailedPrecondition("run already finalized"));
-  }
   const Status s = engine_->RemoveQuery(id);
   if (!s.ok()) return BuildQueryErrorResponse(s);
-  return BuildHttpResponse(200, "application/json",
+  return BuildHttpResponse(200, kJsonContentType,
                            "{\"removed\":\"" + id + "\"}\n");
 }
 
@@ -688,23 +403,7 @@ void OijServer::FlushAllBeforeExit() {
   // A short, bounded courtesy window so final summaries reach slow
   // subscribers; anything still stuck afterwards is abandoned.
   const int64_t deadline = MonotonicNowNs() + 500'000'000;  // 500 ms
-  while (MonotonicNowNs() < deadline) {
-    bool pending = false;
-    std::vector<int> fds;
-    fds.reserve(conns_.size());
-    for (const auto& [fd, conn] : conns_) fds.push_back(fd);
-    for (int fd : fds) {
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;
-      Conn* conn = it->second.get();
-      if (!conn->tcp.wants_write()) continue;
-      FlushConn(conn);
-      auto again = conns_.find(fd);
-      if (again != conns_.end() && again->second->tcp.wants_write()) {
-        pending = true;
-      }
-    }
-    if (!pending) return;
+  while (MonotonicNowNs() < deadline && conns_.FlushAll()) {
     loop_.Poll(/*timeout_ms=*/10);
   }
 }

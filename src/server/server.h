@@ -7,12 +7,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "core/engine_factory.h"
 #include "core/pipeline.h"
 #include "metrics/throughput.h"
-#include "net/connection.h"
+#include "net/conn_table.h"
 #include "net/event_loop.h"
 #include "net/wire_codec.h"
 #include "server/admin.h"
@@ -85,8 +84,8 @@ class OijServer {
   /// loop exits and all sockets close. Idempotent.
   void Shutdown();
 
-  uint16_t data_port() const { return data_port_; }
-  uint16_t admin_port() const { return admin_port_; }
+  uint16_t data_port() const { return conns_.data_port(); }
+  uint16_t admin_port() const { return conns_.admin_port(); }
 
   bool run_finished() const {
     return run_finished_.load(std::memory_order_acquire);
@@ -99,41 +98,27 @@ class OijServer {
   RunResult FinalRun() const;
 
  private:
-  struct Conn {
-    explicit Conn(int fd) : tcp(fd) {}
-    TcpConnection tcp;
-    WireDecoder decoder;
-    bool is_admin = false;
-    bool subscriber = false;
-    /// Handshake state: a kHello is only legal as the first frame; a
-    /// peer that sent one may request per-watermark acks.
-    bool saw_frame = false;
-    bool wants_acks = false;
-    uint64_t tuples_received = 0;
-  };
-
   /// Joiner-thread entry: encodes results into the egress buffer.
   class EgressSink;
 
   void ServeLoop();
-  void OnDataAccept();
-  void OnAdminAccept();
-  void OnConnEvent(int fd, uint32_t ready);
-  void ProcessDataInput(Conn* conn);
-  void ProcessAdminInput(Conn* conn);
+  /// Handles one decoded data-plane frame; false once `conn` is closed
+  /// or closing.
+  bool HandleFrame(Conn* conn, const WireFrame& frame);
+  /// Answers `what` with kError while the WAL replays or once the run is
+  /// finalized (the two never overlap); true when it did.
+  bool Refused(Conn* conn, const char* what);
+  /// Admin requests: the catalog verbs (refused with 503 while
+  /// recovering and 400 once finalized), then the read-only pages.
+  std::string HandleAdmin(const HttpRequest& request);
   /// POST /queries: parse the JSON body, register the standing query on
   /// the loop (= engine driver) thread, answer 200 or a structured 400.
   std::string HandleAddQueryRequest(const HttpRequest& request);
   /// DELETE /queries/<id>: deactivate the standing query.
   std::string HandleRemoveQueryRequest(const std::string& id);
-  bool HandleFrame(Conn* conn, const WireFrame& frame);
   void FinalizeRun();
   /// Moves buffered result frames to every subscriber's write queue.
   void DrainEgress();
-  void SendError(Conn* conn, const std::string& message);
-  void UpdateInterest(Conn* conn);
-  void FlushConn(Conn* conn);
-  void CloseConn(int fd);
   AdminSnapshot BuildSnapshot();
   /// Best-effort final flush of pending writes before the loop exits.
   void FlushAllBeforeExit();
@@ -143,17 +128,13 @@ class OijServer {
   std::unique_ptr<JoinEngine> engine_;
 
   EventLoop loop_;
-  TcpListener data_listener_;
-  TcpListener admin_listener_;
-  uint16_t data_port_ = 0;
-  uint16_t admin_port_ = 0;
+  ConnTable conns_;
 
   std::thread loop_thread_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
 
   // Loop-thread-only state.
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
   ThroughputMeter meter_;
   bool meter_started_ = false;
   int64_t started_ns_ = 0;
@@ -164,21 +145,12 @@ class OijServer {
   mutable std::mutex final_run_mu_;
   RunResult final_run_;  // guarded by final_run_mu_
 
-  // Counters (loop thread writes; any thread reads).
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_open_{0};
-  std::atomic<uint64_t> admin_requests_{0};
-  std::atomic<uint64_t> bytes_in_{0};
-  std::atomic<uint64_t> bytes_out_{0};
-  std::atomic<uint64_t> frames_in_{0};
+  // Counters beyond the connection table's (loop thread writes; any
+  // thread reads).
   std::atomic<uint64_t> tuples_in_{0};
   std::atomic<uint64_t> watermarks_in_{0};
-  std::atomic<uint64_t> frames_rejected_{0};
   std::atomic<uint64_t> results_streamed_{0};
-  std::atomic<uint64_t> subscribers_{0};
-  std::atomic<uint64_t> subscribers_evicted_{0};
   std::atomic<uint64_t> watermark_acks_{0};
-  std::atomic<uint64_t> hellos_rejected_{0};
 };
 
 }  // namespace oij

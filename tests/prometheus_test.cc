@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "cluster/router_admin.h"
+#include "exposition_check.h"
 #include "metrics/latency_recorder.h"
 #include "metrics/prometheus.h"
 #include "server/admin.h"
@@ -274,6 +276,29 @@ TEST(Statz, ArraysAreCommaSeparatedAndMemoryObjectRenders) {
   EXPECT_EQ(depth, 0);
 }
 
+TEST(Statz, IntegersRenderExactly) {
+  // Regression: JsonOut printed integers through double, so values of
+  // 1e15 and more came out as %.6g ("1.23457e+15") and 2^53+1 lost its
+  // last digit.
+  AdminSnapshot snap;
+  snap.engine_name = "scale-oij";
+  snap.workload_name = "default";
+  snap.counters.bytes_in = 1234567890123456ull;
+  snap.counters.bytes_out = (1ull << 53) + 1;
+  snap.counters.frames_in = std::numeric_limits<uint64_t>::max();
+  snap.progress.numa_pin_cpus = {-1, 3};
+  const std::string text = RenderStatzJson(snap);
+  EXPECT_NE(text.find("\"bytes_in\":1234567890123456,"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"bytes_out\":9007199254740993,"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"frames_in\":18446744073709551615,"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"pin_cpus\":[-1,3]"), std::string::npos) << text;
+  EXPECT_EQ(text.find("e+"), std::string::npos) << text;
+}
+
 TEST(Prometheus, MetricsPageIsParseable) {
   // Every non-comment line must be `name{labels} value` or `name value`,
   // and every referenced family must have HELP and TYPE headers.
@@ -310,6 +335,174 @@ TEST(Prometheus, MetricsPageIsParseable) {
   EXPECT_NE(text.find("oij_joiner_queue_depth{joiner=\"0\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("oij_joiner_consumed_total{joiner=\"2\"} 30"),
+            std::string::npos);
+  EXPECT_EQ(ExpositionProblems(text), "") << text;
+
+  // Every optional section on: NUMA, the query catalog, the WAL and the
+  // finalized run with its histogram.
+  snap.progress.busy_ns = {1, 2, 3};
+  snap.progress.numa_active = true;
+  snap.progress.numa_pin_cpus = {0, 1, -1};
+  snap.progress.per_node_arena_bytes = {4096, 8192};
+  snap.progress.per_node_arena_live_nodes = {1, 2};
+  snap.queries.resize(2);
+  snap.queries[0].id = "main";
+  snap.queries[1].id = "q1";
+  snap.wal.enabled = true;
+  snap.snapshot_age_seconds = 2.0;
+  snap.run_finished = true;
+  snap.final_run.stats.latency.Record(100);
+  snap.final_run.stats.latency.Record(5000);
+  const std::string full = RenderPrometheusMetrics(snap);
+  EXPECT_NE(full.find("oij_result_latency_us_bucket"), std::string::npos);
+  EXPECT_NE(full.find("oij_query_results_total{query=\"q1\"}"),
+            std::string::npos);
+  EXPECT_EQ(ExpositionProblems(full), "") << full;
+}
+
+TEST(Prometheus, ExpositionCheckCatchesBrokenPages) {
+  EXPECT_EQ(ExpositionProblems("# HELP a x\n# TYPE a gauge\na 1\n"), "");
+  // Interleaved families.
+  EXPECT_NE(ExpositionProblems("# HELP a x\n# TYPE a gauge\na{k=\"0\"} 1\n"
+                               "# HELP b x\n# TYPE b gauge\nb{k=\"0\"} 1\n"
+                               "a{k=\"1\"} 1\n"),
+            "");
+  // Sample before its headers, and a second TYPE.
+  EXPECT_NE(ExpositionProblems("a 1\n# HELP a x\n# TYPE a gauge\n"), "");
+  EXPECT_NE(ExpositionProblems("# HELP a x\n# TYPE a gauge\n# TYPE a gauge\n"
+                               "a 1\n"),
+            "");
+  // Illegal name, unparseable value, mixed label keys.
+  EXPECT_NE(ExpositionProblems("# HELP 9a x\n# TYPE 9a gauge\n9a 1\n"), "");
+  EXPECT_NE(ExpositionProblems("# HELP a x\n# TYPE a gauge\na one\n"), "");
+  EXPECT_NE(ExpositionProblems("# HELP a x\n# TYPE a gauge\na{k=\"0\"} 1\n"
+                               "a{j=\"1\"} 1\n"),
+            "");
+}
+
+// ------------------------------------------------------------ router pages
+
+RouterBackendRow BackendRow(uint32_t id, Timestamp acked) {
+  RouterBackendRow row;
+  row.id = id;
+  row.state = "active";
+  row.active = true;
+  row.acked = acked;
+  row.replay_buffered_tuples = 10 + id;
+  row.probes.probes = 5;
+  row.probes.ejections = id;
+  return row;
+}
+
+/// A two-backend router after both backends acked (20 and 30).
+RouterSnapshot TwoBackendSnapshot() {
+  RouterSnapshot snap;
+  snap.counters.tuples_in = 100;
+  snap.counters.tuples_routed = 100;
+  snap.counters.acks_received = 4;
+  snap.counters.cluster_watermark = 20;
+  snap.counters.min_backend_acked = 20;
+  snap.backends = {BackendRow(0, 20), BackendRow(1, 30)};
+  return snap;
+}
+
+TEST(RouterAdmin, MetricsPageKeepsEachFamilyContiguous) {
+  // Regression: the per-backend families were emitted inside one loop
+  // over backends, so backend 1's first family followed backend 0's last
+  // one — invalid exposition once a router has two backends.
+  const std::string text = RenderRouterMetrics(TwoBackendSnapshot());
+  EXPECT_EQ(ExpositionProblems(text), "") << text;
+  EXPECT_NE(text.find("oij_router_backend_healthy{backend=\"1\"} 1"),
+            std::string::npos);
+  EXPECT_EQ(ParseGauge(text, "oij_router_backend_acked_watermark{backend="
+                             "\"1\"}"),
+            30.0);
+  EXPECT_EQ(ParseGauge(text, "oij_router_cluster_watermark"), 20.0);
+}
+
+TEST(RouterAdmin, WatermarksWithoutAnAckAreOmittedOrNull) {
+  // Regression: before the first ack the router exported its kMinTimestamp
+  // "no ack yet" value as -9.2e18 in /metrics and /statz.
+  RouterSnapshot snap = TwoBackendSnapshot();
+  snap.counters.cluster_watermark = kMinTimestamp;
+  snap.counters.min_backend_acked = kMinTimestamp;
+  snap.backends[0].acked = kMinTimestamp;
+  snap.backends[1].acked = kMinTimestamp;
+  std::string metrics = RenderRouterMetrics(snap);
+  EXPECT_EQ(metrics.find("oij_router_cluster_watermark"), std::string::npos)
+      << metrics;
+  EXPECT_EQ(metrics.find("oij_router_backend_acked_watermark"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(ExpositionProblems(metrics), "") << metrics;
+  std::string statz = RenderRouterStatz(snap);
+  EXPECT_NE(statz.find("\"cluster_watermark\":null"), std::string::npos)
+      << statz;
+  EXPECT_NE(statz.find("\"min_backend_acked\":null"), std::string::npos);
+  EXPECT_NE(statz.find("\"id\":0,"), std::string::npos);
+  EXPECT_EQ(statz.find("-9223372036854775808"), std::string::npos) << statz;
+  size_t nulls = 0;
+  for (size_t pos = 0;
+       (pos = statz.find("\"acked_watermark\":null", pos)) !=
+       std::string::npos;
+       ++pos) {
+    ++nulls;
+  }
+  EXPECT_EQ(nulls, 2u) << statz;
+
+  // Backend 0 acks: its sample appears, backend 1's stays omitted, and
+  // the cluster watermark waits for both.
+  snap.backends[0].acked = 20;
+  snap.counters.min_backend_acked = kMinTimestamp;
+  metrics = RenderRouterMetrics(snap);
+  EXPECT_EQ(ParseGauge(metrics, "oij_router_backend_acked_watermark{backend="
+                                "\"0\"}"),
+            20.0);
+  EXPECT_EQ(metrics.find("oij_router_backend_acked_watermark{backend=\"1\"}"),
+            std::string::npos);
+  EXPECT_EQ(metrics.find("oij_router_cluster_watermark"), std::string::npos);
+  EXPECT_EQ(ExpositionProblems(metrics), "") << metrics;
+
+  // Both acked: every watermark is a number.
+  snap = TwoBackendSnapshot();
+  statz = RenderRouterStatz(snap);
+  EXPECT_NE(statz.find("\"cluster_watermark\":20,"), std::string::npos)
+      << statz;
+  EXPECT_NE(statz.find("\"min_backend_acked\":20,"), std::string::npos);
+  EXPECT_NE(statz.find("\"acked_watermark\":30,"), std::string::npos);
+  EXPECT_EQ(statz.find("null"), std::string::npos) << statz;
+}
+
+TEST(RouterAdmin, HealthzCountsEligibleBackends) {
+  RouterSnapshot snap = TwoBackendSnapshot();
+  snap.backends[1].healthy = false;
+  int code = 0;
+  EXPECT_EQ(RenderRouterHealthz(snap, &code), "ok: 1/2 backends\n");
+  EXPECT_EQ(code, 200);
+  snap.backends[0].active = false;
+  EXPECT_EQ(RenderRouterHealthz(snap, &code), "no eligible backends\n");
+  EXPECT_EQ(code, 503);
+}
+
+TEST(AdminFront, ServerAndRouterAnswerAlike) {
+  // One admin front: the same refusal bodies and the same /metrics
+  // content type on both binaries.
+  const AdminSnapshot server;
+  const RouterSnapshot router;
+  HttpRequest request;
+  request.method = "POST";
+  request.path = "/metrics";
+  EXPECT_EQ(HandleAdminRequest(server, request),
+            HandleRouterAdminRequest(router, request));
+  request.method = "GET";
+  request.path = "/nope";
+  EXPECT_EQ(HandleAdminRequest(server, request),
+            HandleRouterAdminRequest(router, request));
+  request.path = "/metrics";
+  const std::string type =
+      "Content-Type: " + std::string(kMetricsContentType) + "\r\n";
+  EXPECT_NE(HandleAdminRequest(server, request).find(type), std::string::npos);
+  EXPECT_NE(HandleRouterAdminRequest(router, request).find(type),
             std::string::npos);
 }
 

@@ -40,6 +40,8 @@
 
 #include "cluster/router.h"
 #include "core/engine_factory.h"
+#include "exposition_check.h"
+#include "http_test_util.h"
 #include "join/reference_join.h"
 #include "join/watermark.h"
 #include "net/socket.h"
@@ -67,29 +69,6 @@ bool WaitUntil(const std::function<bool()>& pred, int64_t timeout_ms = 15000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return pred();
-}
-
-/// One blocking HTTP/1.0 GET against an admin port.
-std::string HttpGet(uint16_t port, const std::string& path, int* code) {
-  int fd = -1;
-  *code = 0;
-  if (!ConnectTcp("127.0.0.1", port, &fd).ok()) return "";
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (!SendAll(fd, request.data(), request.size()).ok()) {
-    CloseFd(fd);
-    return "";
-  }
-  std::string response;
-  char buf[8192];
-  int64_t n;
-  while ((n = RecvSome(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  CloseFd(fd);
-  const size_t sp = response.find(' ');
-  if (sp != std::string::npos) *code = std::atoi(response.c_str() + sp + 1);
-  const size_t body = response.find("\r\n\r\n");
-  return body == std::string::npos ? "" : response.substr(body + 4);
 }
 
 /// Blocking router client with a concurrent reader; beyond DataClient
@@ -239,9 +218,11 @@ TEST(RouterFanBack, TwoBackendUnionMatchesReferenceOracle) {
     ASSERT_TRUE(client.Send(batch));
     batch.clear();
 
-    // Admin plane mid-run, while both backends are active.
+    // Admin plane mid-run, while both backends are active. A backend's
+    // acked-watermark sample exists only once it has acked.
     ASSERT_TRUE(WaitUntil([&] {
-      return router.CountersSnapshot().tuples_routed >= events.size();
+      const RouterCounters c = router.CountersSnapshot();
+      return c.tuples_routed >= events.size() && c.acks_received > 0;
     }));
     int code = 0;
     HttpGet(router.admin_port(), "/healthz", &code);
@@ -257,6 +238,7 @@ TEST(RouterFanBack, TwoBackendUnionMatchesReferenceOracle) {
               std::string::npos);
     EXPECT_NE(metrics.find("oij_router_backend_acked_watermark"),
               std::string::npos);
+    EXPECT_EQ(ExpositionProblems(metrics), "") << metrics;
 
     AppendControlFrame(&batch, FrameType::kFinish);
     ASSERT_TRUE(client.Send(batch));
@@ -555,6 +537,52 @@ StreamEvent Ev(Timestamp ts, uint64_t key) {
 }
 
 // ---------------------------------------------------------- failover
+
+/// A kFinish that finds no backend to wait for completes the run inside
+/// the frame's own handling: the summary goes out and the finisher's
+/// connection closes before the read that carried the kFinish is done.
+/// The frames after it in that read must be dropped, not decoded from
+/// the closed connection (under ASan, the latter is a use-after-free).
+TEST(RouterFinish, FinishWithEveryBackendDownAnswersAndCloses) {
+  uint16_t dead_data_port = 0;
+  uint16_t dead_admin_port = 0;
+  {  // Ports that refuse connections: bound, read back, released.
+    TcpListener data;
+    TcpListener admin;
+    ASSERT_TRUE(data.Listen("127.0.0.1", 0).ok());
+    ASSERT_TRUE(admin.Listen("127.0.0.1", 0).ok());
+    dead_data_port = data.port();
+    dead_admin_port = admin.port();
+  }
+  RouterConfig rc;
+  rc.backends.push_back({"127.0.0.1", dead_data_port, dead_admin_port});
+  // The first retry lands seconds away, so the backend stays
+  // disconnected (and, never having answered, non-durable) throughout.
+  rc.backoff_base_ms = 20000;
+  rc.backoff_max_ms = 20000;
+  OijRouter router(rc);
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_TRUE(WaitUntil([&] {
+    return router.CountersSnapshot().backend_retries >= 1;
+  }));
+
+  RouterClient client(router.data_port());
+  std::string bytes;
+  AppendControlFrame(&bytes, FrameType::kFinish);
+  AppendWatermarkFrame(&bytes, 100);
+  AppendTupleFrame(&bytes, Ev(50, 1));
+  ASSERT_TRUE(client.Send(bytes));
+  client.JoinReader();  // the router closes after the summary
+
+  EXPECT_TRUE(router.run_finished());
+  EXPECT_FALSE(client.corrupt);
+  EXPECT_TRUE(client.errors.empty());
+  EXPECT_NE(client.summary.find("(unreachable at finish)"), std::string::npos)
+      << client.summary;
+  const RouterCounters c = router.CountersSnapshot();
+  EXPECT_EQ(c.tuples_in, 0u);
+  EXPECT_EQ(c.watermarks_in, 0u);
+}
 
 /// When a non-durable backend drops, its share of the key space must
 /// reroute to the ring-clockwise survivor with zero drops, and /healthz

@@ -18,6 +18,7 @@
 
 #include "common/fault_injector.h"
 #include "core/engine_factory.h"
+#include "http_test_util.h"
 #include "join/reference_join.h"
 #include "join/watermark.h"
 #include "net/socket.h"
@@ -132,60 +133,20 @@ std::vector<double> JoinerBusySeconds(const std::string& body,
   return busy;
 }
 
-/// One blocking HTTP/1.0 GET against the admin port.
-std::string HttpGet(uint16_t port, const std::string& path, int* code,
-                    const std::string& method = "GET") {
-  int fd = -1;
-  Status s = ConnectTcp("127.0.0.1", port, &fd);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  *code = 0;
-  if (fd < 0) return "";
-  const std::string request = method + " " + path + " HTTP/1.0\r\n\r\n";
-  s = SendAll(fd, request.data(), request.size());
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  std::string response;
-  char buf[8192];
-  int64_t n;
-  while ((n = RecvSome(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  CloseFd(fd);
-  const size_t sp = response.find(' ');
-  if (sp != std::string::npos) {
-    *code = std::atoi(response.c_str() + sp + 1);
-  }
-  const size_t body = response.find("\r\n\r\n");
-  return body == std::string::npos ? "" : response.substr(body + 4);
+/// HttpSend/HttpGet against a server that is up throughout: a request
+/// that gets no response at all (refused connect, failed send, empty
+/// reply) fails the test right here.
+std::string AdminSend(uint16_t port, const std::string& method,
+                      const std::string& path, const std::string& body,
+                      int* code) {
+  const std::string response = HttpSend(port, method, path, body, code);
+  EXPECT_NE(*code, 0) << method << " " << path << ": no response";
+  return response;
 }
 
-/// One blocking HTTP/1.0 request with a Content-Length body (the shape
-/// POST /queries and DELETE /queries/<id> accept).
-std::string HttpSend(uint16_t port, const std::string& method,
-                     const std::string& path, const std::string& body,
-                     int* code) {
-  int fd = -1;
-  Status s = ConnectTcp("127.0.0.1", port, &fd);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  *code = 0;
-  if (fd < 0) return "";
-  const std::string request = method + " " + path +
-                              " HTTP/1.0\r\nContent-Length: " +
-                              std::to_string(body.size()) + "\r\n\r\n" + body;
-  s = SendAll(fd, request.data(), request.size());
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  std::string response;
-  char buf[8192];
-  int64_t n;
-  while ((n = RecvSome(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  CloseFd(fd);
-  const size_t sp = response.find(' ');
-  if (sp != std::string::npos) {
-    *code = std::atoi(response.c_str() + sp + 1);
-  }
-  const size_t split = response.find("\r\n\r\n");
-  return split == std::string::npos ? "" : response.substr(split + 4);
+std::string AdminGet(uint16_t port, const std::string& path, int* code,
+                     const std::string& method = "GET") {
+  return AdminSend(port, method, path, "", code);
 }
 
 /// Replays `events` through a server over loopback with the same
@@ -343,17 +304,17 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
 
   int code = 0;
   // Before any traffic: serving, healthy, not finished.
-  std::string body = HttpGet(server.admin_port(), "/healthz", &code);
+  std::string body = AdminGet(server.admin_port(), "/healthz", &code);
   EXPECT_EQ(code, 200);
   EXPECT_EQ(body, "ok\n");
-  body = HttpGet(server.admin_port(), "/statz", &code);
+  body = AdminGet(server.admin_port(), "/statz", &code);
   EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("\"state\":\"serving\""), std::string::npos) << body;
-  body = HttpGet(server.admin_port(), "/", &code);
+  body = AdminGet(server.admin_port(), "/", &code);
   EXPECT_EQ(code, 200);
-  body = HttpGet(server.admin_port(), "/nope", &code);
+  body = AdminGet(server.admin_port(), "/nope", &code);
   EXPECT_EQ(code, 404);
-  body = HttpGet(server.admin_port(), "/metrics", &code, "POST");
+  body = AdminGet(server.admin_port(), "/metrics", &code, "POST");
   EXPECT_EQ(code, 405);
 
   const auto events = Generate(workload);
@@ -372,7 +333,7 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
   })) << "server never ingested the batch";
 
   // Mid-run: counters live, run not finished, still healthy.
-  body = HttpGet(server.admin_port(), "/metrics", &code);
+  body = AdminGet(server.admin_port(), "/metrics", &code);
   EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("oij_up{"), std::string::npos);
   EXPECT_NE(body.find("oij_healthy 1"), std::string::npos);
@@ -390,13 +351,13 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
   for (size_t j = 0; j < busy.size(); ++j) {
     EXPECT_GE(busy[j], 0.0) << "joiner " << j << "\n" << body;
   }
-  const std::string again = HttpGet(server.admin_port(), "/metrics", &code);
+  const std::string again = AdminGet(server.admin_port(), "/metrics", &code);
   std::vector<double> busy_again = JoinerBusySeconds(again, 2);
   for (size_t j = 0; j < busy.size(); ++j) {
     EXPECT_GE(busy_again[j], busy[j]) << "joiner " << j;
   }
   busy = busy_again;
-  body = HttpGet(server.admin_port(), "/healthz", &code);
+  body = AdminGet(server.admin_port(), "/healthz", &code);
   EXPECT_EQ(code, 200);
 
   std::string finish;
@@ -408,7 +369,7 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
 
   // Post-run: finished flag flips, the run block appears, histogram and
   // quantile gauges render, healthz stays green.
-  body = HttpGet(server.admin_port(), "/metrics", &code);
+  body = AdminGet(server.admin_port(), "/metrics", &code);
   EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("oij_run_finished 1"), std::string::npos);
   EXPECT_NE(body.find("oij_run_input_tuples_total " +
@@ -425,9 +386,9 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
     busy_total += busy_after[j];
   }
   EXPECT_GT(busy_total, 0.0) << "the joiners processed the whole run";
-  body = HttpGet(server.admin_port(), "/healthz", &code);
+  body = AdminGet(server.admin_port(), "/healthz", &code);
   EXPECT_EQ(code, 200);
-  body = HttpGet(server.admin_port(), "/statz", &code);
+  body = AdminGet(server.admin_port(), "/statz", &code);
   EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("\"state\":\"finished\""), std::string::npos);
 
@@ -474,12 +435,12 @@ TEST(ServerAdminTest, QueryEndpointAddsListsRejectsAndRemoves) {
   int code = 0;
 
   // Happy path, then the listing shows primary + the new query.
-  std::string body = HttpSend(
+  std::string body = AdminSend(
       port, "POST", "/queries",
       "{\"id\":\"q1\",\"pre\":200,\"fol\":0,\"agg\":\"count\"}", &code);
   EXPECT_EQ(code, 200) << body;
   EXPECT_NE(body.find("\"added\":\"q1\""), std::string::npos) << body;
-  body = HttpGet(port, "/queries", &code);
+  body = AdminGet(port, "/queries", &code);
   EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("\"id\":\"main\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"id\":\"q1\""), std::string::npos) << body;
@@ -495,51 +456,51 @@ TEST(ServerAdminTest, QueryEndpointAddsListsRejectsAndRemoves) {
     EXPECT_NE(reply.find(want_text), std::string::npos) << reply;
   };
 
-  body = HttpSend(port, "POST", "/queries",
+  body = AdminSend(port, "POST", "/queries",
                   "{\"id\":\"q1\",\"pre\":100}", &code);
   expect_error(body, code, 400, "already exists");
-  body = HttpSend(port, "POST", "/queries", "{\"id\":\"x\"", &code);
+  body = AdminSend(port, "POST", "/queries", "{\"id\":\"x\"", &code);
   expect_error(body, code, 400, "malformed");
-  body = HttpSend(port, "POST", "/queries", "not json at all", &code);
+  body = AdminSend(port, "POST", "/queries", "not json at all", &code);
   expect_error(body, code, 400, "JSON object");
-  body = HttpSend(port, "POST", "/queries", "{\"pre\":100}", &code);
+  body = AdminSend(port, "POST", "/queries", "{\"pre\":100}", &code);
   expect_error(body, code, 400, "missing required field 'id'");
-  body = HttpSend(port, "POST", "/queries",
+  body = AdminSend(port, "POST", "/queries",
                   "{\"id\":\"x\",\"weird\":1}", &code);
   expect_error(body, code, 400, "unknown field 'weird'");
-  body = HttpSend(port, "POST", "/queries",
+  body = AdminSend(port, "POST", "/queries",
                   "{\"id\":\"x\",\"id\":\"y\"}", &code);
   expect_error(body, code, 400, "duplicate field 'id'");
-  body = HttpSend(port, "POST", "/queries",
+  body = AdminSend(port, "POST", "/queries",
                   "{\"id\":\"x\",\"pre\":-5}", &code);
   expect_error(body, code, 400, "non-negative");
-  body = HttpSend(port, "POST", "/queries",
+  body = AdminSend(port, "POST", "/queries",
                   "{\"id\":\"x\",\"agg\":\"median\"}", &code);
   expect_error(body, code, 400, "unknown aggregate");
   // The shared index pins lateness and emit mode to the primary's.
-  body = HttpSend(port, "POST", "/queries",
+  body = AdminSend(port, "POST", "/queries",
                   "{\"id\":\"x\",\"lateness\":999}", &code);
   expect_error(body, code, 400, "must match the primary");
-  body = HttpSend(port, "POST", "/queries",
+  body = AdminSend(port, "POST", "/queries",
                   "{\"id\":\"x\",\"emit\":\"eager\"}", &code);
   expect_error(body, code, 400, "must match the primary");
 
   // None of the rejects touched the catalog.
-  body = HttpGet(port, "/queries", &code);
+  body = AdminGet(port, "/queries", &code);
   EXPECT_EQ(body.find("\"id\":\"x\""), std::string::npos) << body;
 
   // Removal: unknown id is 404, the primary is pinned, a real remove
   // flips the row inactive but keeps it listed.
-  body = HttpSend(port, "DELETE", "/queries/ghost", "", &code);
+  body = AdminSend(port, "DELETE", "/queries/ghost", "", &code);
   expect_error(body, code, 404, "NotFound");
-  body = HttpSend(port, "DELETE", "/queries/main", "", &code);
+  body = AdminSend(port, "DELETE", "/queries/main", "", &code);
   expect_error(body, code, 400, "primary");
-  body = HttpSend(port, "DELETE", "/queries/q1", "", &code);
+  body = AdminSend(port, "DELETE", "/queries/q1", "", &code);
   EXPECT_EQ(code, 200) << body;
   EXPECT_NE(body.find("\"removed\":\"q1\""), std::string::npos) << body;
-  body = HttpSend(port, "DELETE", "/queries/q1", "", &code);
+  body = AdminSend(port, "DELETE", "/queries/q1", "", &code);
   EXPECT_NE(code, 200) << "second remove of the same id must fail";
-  body = HttpGet(port, "/queries", &code);
+  body = AdminGet(port, "/queries", &code);
   EXPECT_NE(body.find("\"active\":false"), std::string::npos) << body;
 
   server.Shutdown();
@@ -572,7 +533,7 @@ TEST(ServerHealthTest, HealthzFlips503UnderWatermarkFreeze) {
   ASSERT_TRUE(server.Start().ok());
 
   int code = 0;
-  HttpGet(server.admin_port(), "/healthz", &code);
+  AdminGet(server.admin_port(), "/healthz", &code);
   EXPECT_EQ(code, 200) << "healthy before the freeze engages";
 
   const auto events = Generate(workload);
@@ -600,12 +561,12 @@ TEST(ServerHealthTest, HealthzFlips503UnderWatermarkFreeze) {
     AppendWatermarkFrame(&more, tracker.watermark());
     client.Send(more);
     int c = 0;
-    HttpGet(server.admin_port(), "/healthz", &c);
+    AdminGet(server.admin_port(), "/healthz", &c);
     return c == 503;
   });
   EXPECT_TRUE(flipped) << "healthz never reported the frozen watermark";
 
-  const std::string metrics = HttpGet(server.admin_port(), "/metrics", &code);
+  const std::string metrics = AdminGet(server.admin_port(), "/metrics", &code);
   EXPECT_NE(metrics.find("oij_healthy 0"), std::string::npos);
 
   server.Shutdown();
@@ -646,7 +607,7 @@ TEST(ServerProtocolTest, GarbageFrameGetsErrorAndCleanCloseAndIsCounted) {
   EXPECT_EQ(server.CountersSnapshot().frames_rejected, 2u);
 
   int code = 0;
-  const std::string body = HttpGet(server.admin_port(), "/metrics", &code);
+  const std::string body = AdminGet(server.admin_port(), "/metrics", &code);
   EXPECT_NE(body.find("oij_frames_rejected_total 2"), std::string::npos);
   server.Shutdown();
 }
@@ -748,11 +709,11 @@ TEST(ServerDurabilityTest, ShutdownDrainSyncsWalUnderFsyncNone) {
 
     // Live admin plane carries the WAL block once durability is on.
     int code = 0;
-    std::string body = HttpGet(server.admin_port(), "/metrics", &code);
+    std::string body = AdminGet(server.admin_port(), "/metrics", &code);
     EXPECT_EQ(code, 200);
     EXPECT_NE(body.find("oij_wal_appended_bytes"), std::string::npos);
     EXPECT_NE(body.find("oij_wal_fsyncs_total"), std::string::npos);
-    body = HttpGet(server.admin_port(), "/statz", &code);
+    body = AdminGet(server.admin_port(), "/statz", &code);
     EXPECT_EQ(code, 200);
     EXPECT_NE(body.find("\"wal\":{"), std::string::npos) << body;
 
