@@ -202,13 +202,15 @@ void BM_SpscQueueRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscQueueRoundTrip);
 
-/// The tentpole number for the batched transport: tuples/s across a real
-/// producer-thread -> consumer-thread hop as a function of transfer batch
-/// size (`range(0)`; 1 is the old per-tuple transport). The consumer
-/// (benchmark thread) grants the producer credit in kChunk-tuple units so
-/// both sides run flat out without unbounded buffering; per-tuple cost is
-/// dominated by the shared head/tail cache-line traffic that batching
-/// amortizes.
+/// The batched transport across a real producer-thread -> consumer-thread
+/// hop: tuples/s as a function of the publish batch size (`range(0)`; 1
+/// publishes every tuple). The producer stages each tuple in its ring
+/// slot and publishes a batch with one tail store; the consumer reads
+/// slots in place and releases each peeked chunk with one head store.
+/// The consumer (benchmark thread) grants the producer credit in
+/// kChunk-tuple units so both sides run flat out without unbounded
+/// buffering; per-tuple cost is dominated by the shared head/tail
+/// cache-line traffic that batching amortizes.
 void BM_SpscQueueHopBatched(benchmark::State& state) {
   // Credit-grant unit (work per measured iteration): scalable; the
   // transfer batch size below is the x-axis and stays fixed.
@@ -219,10 +221,7 @@ void BM_SpscQueueHopBatched(benchmark::State& state) {
   std::atomic<bool> done{false};
 
   std::thread producer([&] {
-    std::vector<Tuple> staged(batch);
-    for (size_t i = 0; i < batch; ++i) {
-      staged[i] = Tuple{static_cast<Timestamp>(i), 2, 3.0};
-    }
+    Timestamp ts = 0;
     while (!done.load(std::memory_order_acquire)) {
       if (credits.load(std::memory_order_acquire) <= 0) {
         std::this_thread::yield();
@@ -230,26 +229,32 @@ void BM_SpscQueueHopBatched(benchmark::State& state) {
       }
       int64_t remaining = kChunk;
       while (remaining > 0 && !done.load(std::memory_order_relaxed)) {
-        const size_t want =
-            std::min<int64_t>(remaining, static_cast<int64_t>(batch));
-        const size_t pushed = q.PushBatch(staged.data(), want);
-        remaining -= static_cast<int64_t>(pushed);
+        if (!q.TryStage(Tuple{ts, 2, 3.0})) {
+          q.Publish();  // full: let the consumer see the staged run
+          continue;
+        }
+        ++ts;
+        --remaining;
+        if (q.staged() >= batch) q.Publish();
       }
+      q.Publish();
       credits.fetch_sub(kChunk, std::memory_order_acq_rel);
     }
   });
 
-  // The consumer drains at the same granularity it is handed, so Arg(1)
-  // reproduces the old per-tuple transport on both sides of the hop.
-  std::vector<Tuple> out(batch);
+  // The consumer releases at the same granularity it is handed, so
+  // Arg(1) moves one tuple per head and tail update on both sides.
   for (auto _ : state) {
     credits.fetch_add(kChunk, std::memory_order_acq_rel);
     int64_t received = 0;
+    Timestamp sum = 0;
     while (received < kChunk) {
-      received +=
-          static_cast<int64_t>(q.PopBatch(out.data(), out.size()));
+      const size_t got = q.Peek(batch);
+      for (size_t i = 0; i < got; ++i) sum += q.PeekAt(i).ts;
+      q.Release(got);
+      received += static_cast<int64_t>(got);
     }
-    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(sum);
   }
   done.store(true, std::memory_order_release);
   // Unwedge a producer blocked on a full ring.
@@ -277,19 +282,18 @@ BENCHMARK(BM_SpscQueueHopBatched)
 void BM_SpscQueueBatchRoundTrip(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   SpscQueue<Tuple> q(4096);
-  std::vector<Tuple> in(batch), out(batch);
+  std::vector<Tuple> in(batch);
   for (size_t i = 0; i < batch; ++i) {
     in[i] = Tuple{static_cast<Timestamp>(i), 2, 3.0};
   }
   for (auto _ : state) {
-    if (batch == 1) {
-      q.TryPush(in[0]);  // the old per-tuple transport, exactly
-      q.TryPop(&out[0]);
-    } else {
-      q.PushBatch(in.data(), batch);
-      q.PopBatch(out.data(), batch);
-    }
-    benchmark::DoNotOptimize(out.data());
+    for (size_t i = 0; i < batch; ++i) q.TryStage(in[i]);
+    q.Publish();
+    const size_t got = q.Peek(batch);
+    Timestamp sum = 0;
+    for (size_t i = 0; i < got; ++i) sum += q.PeekAt(i).ts;
+    q.Release(got);
+    benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }

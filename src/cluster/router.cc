@@ -222,13 +222,28 @@ void OijRouter::ProcessBackendInput(Backend* backend) {
   WireFrame frame;
   while (backend->conn != nullptr) {
     const WireDecoder::Result r = backend->decoder->Next(&frame);
-    if (r == WireDecoder::Result::kNeedMore) return;
+    if (r == WireDecoder::Result::kNeedMore) break;
     if (r == WireDecoder::Result::kCorrupt) {
+      FanOutResults();
       BackendFailed(backend, "protocol corruption");
       return;
     }
+    if (frame.type == FrameType::kResult) {
+      // One send per subscriber per read, not per result.
+      AppendResultFrame(&result_batch_, frame.result);
+      results_fanned_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    FanOutResults();
     if (!HandleBackendFrame(backend, frame)) return;
   }
+  FanOutResults();
+}
+
+void OijRouter::FanOutResults() {
+  if (result_batch_.empty()) return;
+  conns_.FanOut(result_batch_);
+  result_batch_.clear();
 }
 
 bool OijRouter::HandleBackendFrame(Backend* backend,
@@ -253,13 +268,6 @@ bool OijRouter::HandleBackendFrame(Backend* backend,
       acks_received_.fetch_add(1, std::memory_order_relaxed);
       OnBackendAck(backend, frame.watermark, frame.ack_tuples);
       return true;
-    case FrameType::kResult: {
-      std::string out;
-      AppendResultFrame(&out, frame.result);
-      results_fanned_.fetch_add(1, std::memory_order_relaxed);
-      conns_.FanOut(out);
-      return true;
-    }
     case FrameType::kSummary:
       backend->summary_received = true;
       backend->summary = frame.text;

@@ -173,6 +173,9 @@ class OijRouter {
   void OnBackendConnectWritable(Backend* backend);
   void ProcessBackendInput(Backend* backend);
   bool HandleBackendFrame(Backend* backend, const WireFrame& frame);
+  /// Fans the result frames collected from one backend read out to the
+  /// subscribers at once.
+  void FanOutResults();
   void BackendActivated(Backend* backend, const HelloInfo& hello);
   void BackendFailed(Backend* backend, const char* why);
   void ScheduleReconnect(Backend* backend);
@@ -224,6 +227,10 @@ class OijRouter {
   bool finish_broadcast_ = false;
   int64_t finish_requested_ms_ = 0;
   std::string merged_summary_;
+  /// kResult frames of the backend read in progress, re-encoded; fanned
+  /// out once per read, and before any other frame of that read is
+  /// handled, so subscribers see every frame in backend order.
+  std::string result_batch_;
   TimerQueue::TimerId stall_sweep_timer_ = 0;
 
   // Cross-thread.

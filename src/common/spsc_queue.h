@@ -3,11 +3,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <thread>
-#include <vector>
 
+#include "common/cache_line.h"
 #include "common/clock.h"
 
 namespace oij {
@@ -22,9 +21,23 @@ enum class PushResult : uint8_t {
 /// Bounded single-producer single-consumer ring buffer.
 ///
 /// This is the transport between the router (source) thread and each joiner
-/// thread. Head and tail live on separate cache lines; the producer and the
-/// consumer each cache the opposite index to avoid ping-ponging the shared
-/// lines on every operation (the classic Vyukov/folly SPSC layout).
+/// thread, and it is used in place on both sides:
+///
+/// - The producer *stages* each value straight into the free slot after
+///   its unpublished run (TryStage) and makes the whole run visible with
+///   one release store of the shared tail (Publish). A value is written
+///   into the ring once and never copied again.
+/// - The consumer *peeks* at published slots and reads them where they
+///   lie (Peek/PeekAt), then hands them back with one release store of
+///   the shared head (Release). Until then the producer cannot reuse
+///   them, so a reference returned by PeekAt stays valid.
+///
+/// TryPush/TryPop are the one-value forms. Head and tail live on separate
+/// cache lines, and each side keeps its private cursor and its cached
+/// copy of the opposite index on a line of its own (the producer's is the
+/// staging lane), so neither side's per-value writes touch a line the
+/// other reads (the classic Vyukov/folly SPSC layout). Slots start on a
+/// cache line and the slot array is padded to whole lines.
 ///
 /// Blocking variants back off with std::this_thread::yield() rather than
 /// spinning hot: benchmark machines are frequently oversubscribed (more
@@ -44,15 +57,56 @@ class SpscQueue {
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
 
-  /// Non-blocking push. Returns false when the ring is full.
-  bool TryPush(const T& value) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_cache_ > mask_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail - head_cache_ > mask_) return false;
+  // --- producer ---
+
+  /// Writes `value` into the free slot after the staged run. Returns false
+  /// when the ring is full (staged slots count as used). The consumer
+  /// sees the value only after the next Publish.
+  bool TryStage(const T& value) {
+    const size_t tail = producer_.tail;
+    if (tail - producer_.head_cache > mask_) {
+      producer_.head_cache = head_.load(std::memory_order_acquire);
+      if (tail - producer_.head_cache > mask_) return false;
     }
     buffer_[tail & mask_] = value;
-    tail_.store(tail + 1, std::memory_order_release);
+    producer_.tail = tail + 1;
+    return true;
+  }
+
+  /// Publishes every staged slot with one release store of the tail.
+  void Publish() {
+    if (producer_.published == producer_.tail) return;
+    producer_.published = producer_.tail;
+    tail_.store(producer_.tail, std::memory_order_release);
+  }
+
+  /// Slots staged but not yet published (producer only).
+  size_t staged() const { return producer_.tail - producer_.published; }
+
+  /// Stages `value`, waiting for a free slot as PushBounded does. A full
+  /// ring first publishes the staged run: the consumer cannot free slots
+  /// it cannot see.
+  PushResult StageBounded(const T& value, int64_t deadline_ns = -1,
+                          const std::atomic<bool>* stop = nullptr) {
+    if (TryStage(value)) return PushResult::kOk;
+    Publish();
+    while (true) {
+      if (stop != nullptr && stop->load(std::memory_order_acquire)) {
+        return PushResult::kStopped;
+      }
+      if (deadline_ns >= 0 && MonotonicNowNs() >= deadline_ns) {
+        return PushResult::kTimedOut;
+      }
+      std::this_thread::yield();
+      if (TryStage(value)) return PushResult::kOk;
+    }
+  }
+
+  /// Non-blocking push: stages `value` and publishes it together with
+  /// any earlier staged run. Returns false when the ring is full.
+  bool TryPush(const T& value) {
+    if (!TryStage(value)) return false;
+    Publish();
     return true;
   }
 
@@ -69,77 +123,52 @@ class SpscQueue {
   /// router during shutdown.
   PushResult PushBounded(const T& value, int64_t deadline_ns = -1,
                          const std::atomic<bool>* stop = nullptr) {
-    if (TryPush(value)) return PushResult::kOk;
-    while (true) {
-      if (stop != nullptr && stop->load(std::memory_order_acquire)) {
-        return PushResult::kStopped;
-      }
-      if (deadline_ns >= 0 && MonotonicNowNs() >= deadline_ns) {
-        return PushResult::kTimedOut;
-      }
-      std::this_thread::yield();
-      if (TryPush(value)) return PushResult::kOk;
+    const PushResult r = StageBounded(value, deadline_ns, stop);
+    if (r == PushResult::kOk) Publish();
+    return r;
+  }
+
+  // --- consumer ---
+
+  /// How many published slots the consumer may read in place, at most
+  /// `max_n`; 0 only when the ring is empty. The shared tail is re-read
+  /// only once the slots last seen are used up, so this may count fewer
+  /// than are published. The slots stay the consumer's until Release.
+  size_t Peek(size_t max_n) {
+    size_t avail = consumer_.tail_cache - consumer_.head;
+    if (avail == 0) {
+      consumer_.tail_cache = tail_.load(std::memory_order_acquire);
+      avail = consumer_.tail_cache - consumer_.head;
     }
+    return std::min(avail, max_n);
+  }
+
+  /// The `i`-th unreleased slot; `i` must be below what Peek returned.
+  const T& PeekAt(size_t i) const {
+    return buffer_[(consumer_.head + i) & mask_];
+  }
+
+  /// Hands the first `n` peeked slots back to the producer with one
+  /// release store of the head.
+  void Release(size_t n) {
+    consumer_.head += n;
+    head_.store(consumer_.head, std::memory_order_release);
   }
 
   /// Non-blocking pop. Returns false when the ring is empty.
   bool TryPop(T* out) {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return false;
-    }
-    *out = buffer_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
+    if (Peek(1) == 0) return false;
+    *out = PeekAt(0);
+    Release(1);
     return true;
   }
 
-  /// Non-blocking batch push: enqueues up to `n` items from `items` and
-  /// publishes them with a single release store of `tail_` — one shared
-  /// cache-line update per batch instead of per element. Returns how many
-  /// items were enqueued (0 when the ring is full; may be < n when it is
-  /// nearly full).
-  size_t PushBatch(const T* items, size_t n) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    size_t free = mask_ + 1 - (tail - head_cache_);
-    if (free < n) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      free = mask_ + 1 - (tail - head_cache_);
-      if (free == 0) return 0;
-    }
-    const size_t count = std::min(n, free);
-    for (size_t i = 0; i < count; ++i) {
-      buffer_[(tail + i) & mask_] = items[i];
-    }
-    tail_.store(tail + count, std::memory_order_release);
-    return count;
-  }
-
-  /// Non-blocking batch pop: dequeues up to `max_n` items into `out` and
-  /// releases the slots with a single store of `head_`. Returns how many
-  /// items were dequeued (0 when the ring is empty).
-  size_t PopBatch(T* out, size_t max_n) {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    size_t avail = tail_cache_ - head;
-    if (avail == 0) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      avail = tail_cache_ - head;
-      if (avail == 0) return 0;
-    }
-    const size_t count = std::min(max_n, avail);
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = buffer_[(head + i) & mask_];
-    }
-    head_.store(head + count, std::memory_order_release);
-    return count;
-  }
-
-  /// Approximate size (exact if called from producer or consumer). Safe
-  /// to call from a third thread (the watchdog): `head_` is loaded first,
-  /// so a pop landing between the two loads can only make the result
-  /// stale, never make `head > tail` and underflow the subtraction; the
-  /// result is additionally clamped to capacity against pushes landing in
-  /// the same window.
+  /// Approximate published depth (exact if called from producer or
+  /// consumer). Safe to call from a third thread (the watchdog): `head_`
+  /// is loaded first, so a release landing between the two loads can only
+  /// make the result stale, never make `head > tail` and underflow the
+  /// subtraction; the result is additionally clamped to capacity against
+  /// publishes landing in the same window.
   size_t SizeApprox() const {
     const size_t head = head_.load(std::memory_order_acquire);
     const size_t tail = tail_.load(std::memory_order_acquire);
@@ -150,13 +179,27 @@ class SpscQueue {
   size_t capacity() const { return mask_ + 1; }
 
  private:
-  std::vector<T> buffer_;
+  /// Producer-only cursors: the next slot to stage, the end of the last
+  /// published run, and the last head seen.
+  struct ProducerLane {
+    size_t tail = 0;
+    size_t published = 0;
+    size_t head_cache = 0;
+  };
+  /// Consumer-only cursors: the first unreleased slot and the last tail
+  /// seen.
+  struct ConsumerLane {
+    size_t head = 0;
+    size_t tail_cache = 0;
+  };
+
+  CacheLineVector<T> buffer_;
   size_t mask_ = 0;
 
-  alignas(64) std::atomic<size_t> head_{0};
-  alignas(64) size_t head_cache_ = 0;  // producer-local
-  alignas(64) std::atomic<size_t> tail_{0};
-  alignas(64) size_t tail_cache_ = 0;  // consumer-local
+  alignas(kCacheLineBytes) std::atomic<size_t> head_{0};
+  alignas(kCacheLineBytes) ProducerLane producer_;
+  alignas(kCacheLineBytes) std::atomic<size_t> tail_{0};
+  alignas(kCacheLineBytes) ConsumerLane consumer_;
 };
 
 }  // namespace oij

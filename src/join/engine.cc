@@ -120,10 +120,6 @@ ParallelEngineBase::ParallelEngineBase(const QuerySpec& spec,
 
   // Staging deeper than the ring only adds latency, never throughput.
   batch_size_ = std::min(options_.batch_size, options_.queue_capacity);
-  staged_.resize(options_.num_joiners);
-  if (batch_size_ > 1) {
-    for (auto& stage : staged_) stage.reserve(batch_size_);
-  }
 }
 
 ParallelEngineBase::~ParallelEngineBase() {
@@ -274,7 +270,7 @@ void ParallelEngineBase::Push(const StreamEvent& event, int64_t arrival_us) {
   // bound costs no clock read on the hot path.
   if (staged_total_ > 0 && options_.batch_flush_us > 0 &&
       arrival_us - earliest_staged_us_ >= options_.batch_flush_us) {
-    FlushAllStaged(/*deadline_ns=*/-1);
+    FlushAllStaged();
   }
 }
 
@@ -300,7 +296,7 @@ void ParallelEngineBase::SignalWatermark(Timestamp watermark) {
 
   Event ev;
   ev.kind = Event::Kind::kWatermark;
-  ev.watermark = watermark;
+  ev.tuple.ts = watermark;
   ev.seq = seq_++;
   for (uint32_t j = 0; j < options_.num_joiners; ++j) {
     if (!EnqueueControl(j, ev, -1)) {
@@ -320,7 +316,7 @@ void ParallelEngineBase::SignalWatermark(Timestamp watermark) {
           late_gate_.last_watermark(), SerializeCatalog());
       Event snap;
       snap.kind = Event::Kind::kSnapshot;
-      snap.watermark = static_cast<Timestamp>(epoch);
+      snap.tuple.ts = static_cast<Timestamp>(epoch);
       snap.seq = seq_++;
       for (uint32_t j = 0; j < options_.num_joiners; ++j) {
         if (!EnqueueControl(j, snap, -1)) {
@@ -333,7 +329,7 @@ void ParallelEngineBase::SignalWatermark(Timestamp watermark) {
   }
 }
 
-void ParallelEngineBase::FlushPending() { FlushAllStaged(/*deadline_ns=*/-1); }
+void ParallelEngineBase::FlushPending() { FlushAllStaged(); }
 
 Status ParallelEngineBase::AddQuery(std::string_view id,
                                     const QuerySpec& spec) {
@@ -504,136 +500,73 @@ void ParallelEngineBase::EnqueueTo(uint32_t joiner, const Event& event) {
     }
     return;
   }
-  if (batch_size_ > 1) {
-    auto& stage = staged_[joiner];
-    if (staged_total_ == 0) earliest_staged_us_ = event.arrival_us;
-    stage.push_back(event);
-    ++staged_total_;
-    if (stage.size() >= batch_size_) FlushStaged(joiner, /*deadline_ns=*/-1);
+  if (options_.overload_policy == OverloadPolicy::kShedOldest &&
+      !spill_[joiner].empty()) {
+    // FIFO: while older tuples wait in the spill, new ones queue behind.
+    EnqueueShedding(joiner, event);
     return;
   }
+  SpscQueue<Event>& ring = *queues_[joiner];
+  if (!ring.TryStage(event) && !StageOverloaded(joiner, event)) return;
+  if (staged_total_++ == 0) earliest_staged_us_ = event.arrival_us;
+  if (ring.staged() >= batch_size_) FlushStaged(joiner);
+}
+
+bool ParallelEngineBase::StageOverloaded(uint32_t joiner,
+                                         const Event& event) {
+  // The joiner can free only slots it can see.
+  FlushStaged(joiner);
+  int64_t deadline_ns = -1;  // kBlock: lossless, stop-token aware
   switch (options_.overload_policy) {
-    case OverloadPolicy::kBlock: {
-      const PushResult r =
-          queues_[joiner]->PushBounded(event, /*deadline_ns=*/-1, &stop_);
-      if (r != PushResult::kOk) {
-        ++dropped_per_joiner_[joiner];
-        ++overload_dropped_;
-      }
+    case OverloadPolicy::kBlock:
       break;
-    }
-    case OverloadPolicy::kDropNewest: {
-      const int64_t deadline =
-          options_.drop_wait_us > 0
-              ? MonotonicNowNs() + options_.drop_wait_us * 1000
-              : 0;
-      const PushResult r = queues_[joiner]->PushBounded(event, deadline,
-                                                        &stop_);
-      if (r != PushResult::kOk) {
-        ++dropped_per_joiner_[joiner];
-        ++overload_dropped_;
-      }
+    case OverloadPolicy::kDropNewest:
+      deadline_ns = options_.drop_wait_us > 0
+                        ? MonotonicNowNs() + options_.drop_wait_us * 1000
+                        : 0;
       break;
-    }
     case OverloadPolicy::kShedOldest:
       EnqueueShedding(joiner, event);
-      break;
+      return false;
   }
+  if (queues_[joiner]->StageBounded(event, deadline_ns, &stop_) ==
+      PushResult::kOk) {
+    return true;
+  }
+  ++dropped_per_joiner_[joiner];
+  ++overload_dropped_;
+  return false;
 }
 
-void ParallelEngineBase::FlushStaged(uint32_t joiner, int64_t deadline_ns) {
-  auto& stage = staged_[joiner];
-  if (stage.empty()) return;
-  staged_total_ -= stage.size();
-  PushTupleBatch(joiner, stage.data(), stage.size(), deadline_ns);
-  stage.clear();
+void ParallelEngineBase::FlushStaged(uint32_t joiner) {
+  SpscQueue<Event>& ring = *queues_[joiner];
+  staged_total_ -= ring.staged();
+  ring.Publish();
 }
 
-void ParallelEngineBase::FlushAllStaged(int64_t deadline_ns) {
+void ParallelEngineBase::FlushAllStaged() {
   if (staged_total_ == 0) return;
   // Per-socket batches: the plan's flush order groups joiners by node,
-  // so one socket's rings are filled back-to-back before the router's
+  // so one socket's rings are published back-to-back before the router's
   // writes move to the next socket's cache lines. Identity order when
   // placement is inactive; either way every joiner is flushed, and
   // per-queue FIFO (the only ordering contract) is untouched.
   for (uint32_t j : placement_.flush_order) {
-    FlushStaged(j, deadline_ns);
-  }
-}
-
-void ParallelEngineBase::PushTupleBatch(uint32_t joiner, const Event* events,
-                                        size_t n, int64_t deadline_ns) {
-  SpscQueue<Event>& queue = *queues_[joiner];
-  switch (options_.overload_policy) {
-    case OverloadPolicy::kBlock: {
-      // Lossless backpressure: wait (stop-token aware) for the consumer.
-      // `deadline_ns` is -1 except when Finish flushes with its bound.
-      size_t i = 0;
-      while (i < n) {
-        i += queue.PushBatch(events + i, n - i);
-        if (i >= n) break;
-        if (stop_.load(std::memory_order_acquire) ||
-            (deadline_ns >= 0 && MonotonicNowNs() >= deadline_ns)) {
-          dropped_per_joiner_[joiner] += n - i;
-          overload_dropped_ += n - i;
-          return;
-        }
-        std::this_thread::yield();
-      }
-      break;
-    }
-    case OverloadPolicy::kDropNewest: {
-      int64_t deadline = deadline_ns;
-      if (deadline < 0) {
-        deadline = options_.drop_wait_us > 0
-                       ? MonotonicNowNs() + options_.drop_wait_us * 1000
-                       : 0;
-      }
-      size_t i = 0;
-      while (i < n) {
-        i += queue.PushBatch(events + i, n - i);
-        if (i >= n) break;
-        if (stop_.load(std::memory_order_acquire) || deadline == 0 ||
-            MonotonicNowNs() >= deadline) {
-          dropped_per_joiner_[joiner] += n - i;
-          overload_dropped_ += n - i;
-          return;
-        }
-        std::this_thread::yield();
-      }
-      break;
-    }
-    case OverloadPolicy::kShedOldest: {
-      // FIFO with the spill: ring-push directly only while the spill is
-      // empty, then stage the remainder behind it and shed the oldest.
-      auto& spill = spill_[joiner];
-      size_t i = 0;
-      if (spill.empty()) {
-        while (i < n) {
-          const size_t pushed = queue.PushBatch(events + i, n - i);
-          if (pushed == 0) break;
-          i += pushed;
-        }
-      }
-      for (; i < n; ++i) spill.push_back(events[i]);
-      while (!spill.empty() && queue.TryPush(spill.front())) {
-        spill.pop_front();
-      }
-      ShedSpillOverflow(joiner);
-      break;
-    }
+    FlushStaged(j);
   }
 }
 
 void ParallelEngineBase::EnqueueShedding(uint32_t joiner, const Event& event) {
   auto& spill = spill_[joiner];
-  if (spill.empty() && queues_[joiner]->TryPush(event)) return;
-
   spill.push_back(event);
-  // Opportunistic drain: move whatever fits right now.
-  while (!spill.empty() && queues_[joiner]->TryPush(spill.front())) {
+  // Opportunistic drain: move whatever fits right now. The ring holds no
+  // staged tuples here (a full ring published them before spilling), so
+  // the spilled run is published on its own.
+  SpscQueue<Event>& ring = *queues_[joiner];
+  while (!spill.empty() && ring.TryStage(spill.front())) {
     spill.pop_front();
   }
+  ring.Publish();
   ShedSpillOverflow(joiner);
 }
 
@@ -643,8 +576,8 @@ void ParallelEngineBase::ShedSpillOverflow(uint32_t joiner) {
                          ? options_.shed_spill_capacity
                          : options_.queue_capacity;
   while (spill.size() > cap) {
-    // Shed the oldest staged *tuple*; watermarks/flushes are load-bearing
-    // and must survive.
+    // Shed the oldest spilled *tuple*; watermarks/flushes are
+    // load-bearing and must survive.
     auto it = std::find_if(spill.begin(), spill.end(), [](const Event& e) {
       return e.kind == Event::Kind::kTuple;
     });
@@ -669,12 +602,12 @@ bool ParallelEngineBase::DrainSpill(uint32_t joiner, int64_t deadline_ns) {
 
 bool ParallelEngineBase::EnqueueControl(uint32_t joiner, const Event& event,
                                         int64_t deadline_ns) {
-  // A control event must never pass the tuples it gates: flush this
-  // joiner's staged batch first so per-queue FIFO order is preserved.
-  FlushStaged(joiner, deadline_ns);
+  // A control event must never pass the tuples it gates: publish this
+  // joiner's staged run first so per-queue FIFO order is preserved.
+  FlushStaged(joiner);
   if (options_.overload_policy == OverloadPolicy::kShedOldest &&
       !spill_[joiner].empty()) {
-    // Keep FIFO order with staged tuples: route the control event through
+    // Keep FIFO order with spilled tuples: route the control event through
     // the spill too. It is never shed (EnqueueShedding skips non-tuples).
     spill_[joiner].push_back(event);
     return DrainSpill(joiner, deadline_ns);
@@ -693,7 +626,7 @@ EngineStats ParallelEngineBase::Finish() {
 
   Event flush;
   flush.kind = Event::Kind::kFlush;
-  flush.watermark = kMaxTimestamp;
+  flush.tuple.ts = kMaxTimestamp;
   bool flush_ok = true;
   for (uint32_t j = 0; j < options_.num_joiners; ++j) {
     if (!EnqueueControl(j, flush, deadline)) {
@@ -788,14 +721,15 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
   const bool inject = options_.fault_injector != nullptr;
   uint64_t events_seen = 0;
   Backoff backoff;
-  // Drain in batches: one shared head update (PopBatch) and one consumed
-  // counter bump per batch rather than per event.
+  // Read the ring in place, in chunks: one shared head update (Release)
+  // and one consumed counter bump per chunk rather than per event. A slot
+  // stays the joiner's until released, so OnTuple may read it there.
+  SpscQueue<Event>& ring = *queues_[joiner];
   const size_t drain_batch = std::max<size_t>(batch_size_, 64);
-  std::vector<Event> batch(drain_batch);
   bool flushed = false;
   bool aborted = false;
   while (!flushed && !aborted && !stop_requested()) {
-    size_t got = queues_[joiner]->PopBatch(batch.data(), drain_batch);
+    size_t got = ring.Peek(drain_batch);
     if (got == 0) {
       const int64_t idle_start = track_busy ? MonotonicNowNs() : 0;
       if (OnIdle(joiner) && track_busy) {
@@ -812,7 +746,7 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
     const int64_t busy_start = track_busy ? MonotonicNowNs() : 0;
     int64_t busy_mark = busy_start;  // busy time published up to here
     uint32_t batches_left = kBusyPublishBatches;
-    // Drain a burst: everything currently queued plus the batch in hand.
+    // Drain a burst: everything currently queued plus the chunk in hand.
     do {
       uint64_t processed = 0;
       for (size_t i = 0; i < got; ++i) {
@@ -822,13 +756,13 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
         }
         ++events_seen;
         ++processed;
-        const Event& ev = batch[i];
+        const Event& ev = ring.PeekAt(i);
         switch (ev.kind) {
           case Event::Kind::kTuple:
             OnTuple(joiner, ev);
             break;
           case Event::Kind::kWatermark:
-            OnWatermark(joiner, ev.watermark);
+            OnWatermark(joiner, ev.tuple.ts);
             break;
           case Event::Kind::kFlush:
             OnWatermark(joiner, kMaxTimestamp);
@@ -836,8 +770,7 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
             flushed = true;
             break;
           case Event::Kind::kSnapshot:
-            HandleSnapshotEvent(joiner,
-                                static_cast<uint64_t>(ev.watermark));
+            HandleSnapshotEvent(joiner, static_cast<uint64_t>(ev.tuple.ts));
             break;
           case Event::Kind::kAddQuery: {
             JoinerView& view = joiner_views_[joiner];
@@ -858,18 +791,19 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
         }
         if (flushed) break;
       }
+      ring.Release(processed);
       SingleWriterAdd(consumed_[joiner].value, processed);
       if (flushed || aborted || stop_requested()) break;
       if (track_busy && --batches_left == 0) {
         // A long burst publishes as it goes, so the live counter moves
-        // under sustained load; a clock read per batch would cost more.
+        // under sustained load; a clock read per chunk would cost more.
         batches_left = kBusyPublishBatches;
         const int64_t now = MonotonicNowNs();
         SingleWriterAdd(busy_ns_[joiner].value,
                         static_cast<uint64_t>(now - busy_mark));
         busy_mark = now;
       }
-      got = queues_[joiner]->PopBatch(batch.data(), drain_batch);
+      got = ring.Peek(drain_batch);
     } while (got > 0);
 
     if (track_busy) {
@@ -944,7 +878,7 @@ void ParallelEngineBase::RecordUnhealthy(const Status& status) {
 }
 
 void ParallelEngineBase::Sync() {
-  FlushAllStaged(/*deadline_ns=*/-1);
+  FlushAllStaged();
   if (wal_ != nullptr) {
     wal_->PollSnapshotCompletion();
     wal_->Flush(/*sync=*/true);
@@ -1103,7 +1037,7 @@ bool ParallelEngineBase::RecoveryStep(size_t max_events) {
 
 void ParallelEngineBase::FinishRecovery() {
   WalReplayPlan& plan = *replay_plan_;
-  FlushAllStaged(/*deadline_ns=*/-1);
+  FlushAllStaged();
   wal_->RecordReplay(replayed_tuples_, replayed_watermarks_,
                      plan.torn_tails,
                      MonotonicNowUs() - recovery_start_us_);

@@ -32,35 +32,44 @@ namespace oij {
 
 struct QueryRuntime;
 
-/// Message flowing through a router -> joiner queue.
+/// Message flowing through a router -> joiner ring: 48 bytes, so a
+/// 2048-deep ring is 96 KB. A tuple is written into its ring slot once
+/// and read there in place by the joiner.
 struct Event {
   enum class Kind : uint8_t {
     kTuple = 0,
-    kWatermark,  ///< punctuation carrying the current low-watermark
+    kWatermark,  ///< punctuation; `tuple.ts` is the current low-watermark
     kFlush,      ///< end of stream: finalize everything and exit
     kSnapshot,   ///< durability barrier: write this joiner's snapshot
-                 ///< shard for the epoch carried in `watermark`
+                 ///< shard for the epoch carried in `tuple.ts`
     kAddQuery,   ///< catalog barrier: activate the standing query `query`
     kRemoveQuery,  ///< catalog barrier: deactivate `query`
   };
 
   Kind kind = Kind::kTuple;
   StreamId stream = StreamId::kBase;
-  Tuple tuple;
-  Timestamp watermark = kMinTimestamp;
-  int64_t arrival_us = 0;  ///< router monotonic stamp (latency origin)
-  uint64_t seq = 0;        ///< router-assigned global sequence number
-
-  /// kAddQuery/kRemoveQuery: the catalog entry this barrier activates or
-  /// retires. Carried by pointer so joiners never index the driver's
-  /// catalog container concurrently with its growth.
-  QueryRuntime* query = nullptr;
 
   /// Multi-query mode only: this tuple violated the lateness bound and
   /// was admitted solely for the best-effort queries; drop/side-channel
   /// queries must not observe it.
   bool late = false;
+
+  /// kTuple: the tuple. Control events carry their watermark (kWatermark)
+  /// or snapshot epoch (kSnapshot) in `tuple.ts`.
+  Tuple tuple;
+
+  union {
+    /// kTuple: router monotonic stamp (latency origin).
+    int64_t arrival_us = 0;
+    /// kAddQuery/kRemoveQuery: the catalog entry this barrier activates
+    /// or retires. Carried by pointer so joiners never index the driver's
+    /// catalog container concurrently with its growth.
+    QueryRuntime* query;
+  };
+
+  uint64_t seq = 0;  ///< router-assigned global sequence number
 };
+static_assert(sizeof(Event) == 48, "a ring slot is 48 bytes");
 
 /// Runtime record of one standing query sharing an engine's index.
 ///
@@ -174,18 +183,27 @@ std::string_view OverloadPolicyName(OverloadPolicy policy);
 struct EngineOptions {
   uint32_t num_joiners = 4;
 
-  /// Capacity of each router->joiner ring (events).
-  uint32_t queue_capacity = 8192;
+  /// Capacity of each router->joiner ring (events; 48 bytes each, so the
+  /// default ring is 96 KB and stays cache-resident). Under an unthrottled
+  /// source the joiners are the tighter limit and each ring sits half
+  /// full or more, so a watermark waits behind ~capacity/2 queued tuples:
+  /// the ring's depth is a floor on result delay, not a throughput
+  /// reserve. 2048 is the knee (EXPERIMENTS.md, perfbench): the result
+  /// p50 was 1.3-2.1 ms at 8192, 0.8-1.0 ms at 4096 and 0.4 ms at 2048,
+  /// while at 1024 (0.2 ms) dense-a's throughput fell on each of three
+  /// seeds.
+  uint32_t queue_capacity = 2048;
 
   /// --- Micro-batched router->joiner transport (DESIGN.md §5) ---
 
-  /// Tuple events staged per joiner before the router flushes them into
-  /// the ring with a single PushBatch (one shared cache-line update per
-  /// batch instead of per tuple). 1 restores the per-tuple transport.
-  /// Exactness is unaffected: staging preserves per-queue FIFO order and
-  /// control events (watermark/flush) always flush the stage first, so
-  /// punctuations still trail every tuple they gate. Internally capped at
-  /// queue_capacity.
+  /// Tuple events the driver stages in a joiner's ring before it
+  /// publishes them with one release store of the ring's tail (one shared
+  /// cache-line update per batch instead of per tuple). Staged tuples
+  /// already sit in their ring slots; publishing moves nothing. 1
+  /// publishes every tuple at once. Exactness is unaffected: the ring is
+  /// FIFO and control events (watermark/flush) publish the staged run
+  /// first, so punctuations still trail every tuple they gate. Internally
+  /// capped at queue_capacity.
   uint32_t batch_size = 32;
 
   /// Upper bound on how long a staged tuple may wait for its batch to
@@ -274,8 +292,9 @@ struct EngineOptions {
   /// dropping the tuple. 0 = drop immediately.
   int64_t drop_wait_us = 0;
 
-  /// kShedOldest: max tuples staged per joiner before the oldest staged
-  /// tuples are shed. 0 defaults to queue_capacity.
+  /// kShedOldest: max tuples held per joiner in the router-side spill
+  /// (behind a full ring) before the oldest of them are shed. 0 defaults
+  /// to queue_capacity, so it shrinks with the ring (2048 by default).
   uint32_t shed_spill_capacity = 0;
 
   /// Receives tuples diverted by LatePolicy::kSideChannel (driver
@@ -686,27 +705,26 @@ class ParallelEngineBase : public JoinEngine {
   /// and records the recovery counters.
   void FinishRecovery();
 
-  /// Moves one joiner's staged batch into its ring (applying the
-  /// overload policy batch-wise). `deadline_ns` as in PushBounded.
-  void FlushStaged(uint32_t joiner, int64_t deadline_ns);
-  void FlushAllStaged(int64_t deadline_ns);
+  /// Publishes the tuples staged in one joiner's ring (one release store;
+  /// never waits).
+  void FlushStaged(uint32_t joiner);
+  void FlushAllStaged();
 
-  /// Pushes `n` FIFO-ordered tuple events into a joiner's ring under the
-  /// configured overload policy, using PushBatch so the shared tail is
-  /// updated once per batch, not once per tuple.
-  void PushTupleBatch(uint32_t joiner, const Event* events, size_t n,
-                      int64_t deadline_ns);
+  /// A tuple found its joiner's ring full: publish the staged run, then
+  /// apply the overload policy to this one tuple. Returns true when the
+  /// tuple was staged in the ring (false: dropped, or spilled).
+  bool StageOverloaded(uint32_t joiner, const Event& event);
 
-  /// Tuple enqueue under OverloadPolicy::kShedOldest: stage in spill_,
-  /// drain opportunistically, shed the oldest staged tuples past
-  /// capacity.
+  /// Tuple enqueue under OverloadPolicy::kShedOldest once the ring is
+  /// full or the spill non-empty: append to spill_, move what fits into
+  /// the ring, shed the oldest spilled tuples past capacity.
   void EnqueueShedding(uint32_t joiner, const Event& event);
 
-  /// Sheds the oldest staged *tuples* beyond the spill capacity
+  /// Sheds the oldest spilled *tuples* beyond the spill capacity
   /// (watermarks/flushes are load-bearing and always survive).
   void ShedSpillOverflow(uint32_t joiner);
 
-  /// Moves staged spill events into the ring. `deadline_ns` as in
+  /// Moves spilled events into the ring. `deadline_ns` as in
   /// SpscQueue::PushBounded. Returns true when the spill emptied.
   bool DrainSpill(uint32_t joiner, int64_t deadline_ns);
 
@@ -738,7 +756,6 @@ class ParallelEngineBase : public JoinEngine {
 
   // --- micro-batched transport (driver thread only) ---
   uint32_t batch_size_ = 1;  ///< effective size (capped at ring capacity)
-  std::vector<std::vector<Event>> staged_;
 
   // --- standing-query catalog ---
   std::deque<QueryRuntime> queries_;      // driver thread; entry 0 = primary
@@ -766,8 +783,8 @@ class ParallelEngineBase : public JoinEngine {
   /// flushed batch contiguous (SplitJoin derives its storage designation
   /// from `seq`, so it must be assigned before routing/staging).
   alignas(64) uint64_t seq_ = 0;
-  size_t staged_total_ = 0;          ///< micro-batched transport
-  int64_t earliest_staged_us_ = 0;   ///< arrival stamp of oldest staged
+  size_t staged_total_ = 0;         ///< staged, unpublished, all rings
+  int64_t earliest_staged_us_ = 0;  ///< arrival stamp of oldest staged
   std::atomic<uint64_t> pushed_{0};  ///< driver-written, relaxed reads
 
   alignas(64) std::atomic<bool> stop_{false};

@@ -11,6 +11,7 @@
 
 #include "col/column_batch.h"
 #include "col/sweep_merge.h"
+#include "common/cache_line.h"
 #include "common/hash.h"
 #include "ebr/epoch_manager.h"
 #include "join/engine.h"
@@ -94,6 +95,9 @@ class ScaleOijEngine : public ParallelEngineBase {
                  ResultSink* sink);
 
   std::string_view name() const override { return "scale-oij"; }
+
+  /// The driver's per-partition routing cursors (layout tests).
+  const uint32_t* RouteCursorsForTest() const { return round_robin_.data(); }
 
  protected:
   void Route(const Event& event) override;
@@ -452,8 +456,9 @@ class ScaleOijEngine : public ParallelEngineBase {
 
   // Router-thread-local routing state, on a cache line of its own: the
   // driver writes it per tuple, and joiners read `states_` per tuple.
+  // The per-partition cursors, written per tuple too, own their lines.
   alignas(64) std::shared_ptr<const Schedule> router_schedule_;
-  std::vector<uint32_t> round_robin_;
+  CacheLineVector<uint32_t> round_robin_;
   uint64_t events_since_rebalance_ = 0;
   uint64_t rebalances_ = 0;
 

@@ -87,7 +87,7 @@ void ConnTable::OnEvent(int fd, uint32_t ready) {
   if (ready & kLoopReadable) {
     size_t got = 0;
     const TcpConnection::IoResult r = conn->tcp.ReadReady(&got);
-    SingleWriterAdd(bytes_in_, got);
+    if (!conn->is_admin) SingleWriterAdd(bytes_in_, got);
     if (r == TcpConnection::IoResult::kError) {
       Close(fd);
       return;
@@ -200,7 +200,7 @@ void ConnTable::Flush(Conn* conn) {
     return;
   }
   const size_t after = conn->tcp.pending_write_bytes();
-  SingleWriterAdd(bytes_out_, before - after);
+  if (!conn->is_admin) SingleWriterAdd(bytes_out_, before - after);
   if (conn->tcp.close_after_flush() && !conn->tcp.wants_write()) {
     Close(conn->tcp.fd());
     return;

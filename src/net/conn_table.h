@@ -33,8 +33,9 @@ struct Conn {
   int64_t last_frame_ms = 0;
 };
 
-/// Point-in-time copy of a ConnTable's counters. The connection counts
-/// cover data connections only; the byte counts cover both kinds.
+/// Point-in-time copy of a ConnTable's counters. The connection and byte
+/// counts cover data connections only: a scrape of the admin port does
+/// not move the data-plane byte counters it reports.
 struct ConnCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_open = 0;

@@ -2,7 +2,8 @@
 #define OIJ_SCHED_LOAD_STATS_H_
 
 #include <cstdint>
-#include <vector>
+
+#include "common/cache_line.h"
 
 namespace oij {
 
@@ -14,6 +15,8 @@ namespace oij {
 ///
 /// Owned and mutated by a single thread (the router); the rebalancer runs
 /// on that same thread between batches, so no synchronization is needed.
+/// The router bumps a count per tuple, so the counts own their cache
+/// lines (CacheLineVector): no joiner-read allocation shares one.
 class LoadStats {
  public:
   explicit LoadStats(uint32_t num_partitions)
@@ -26,7 +29,7 @@ class LoadStats {
   }
 
   double count(uint32_t partition) const { return counts_[partition]; }
-  const std::vector<double>& counts() const { return counts_; }
+  const CacheLineVector<double>& counts() const { return counts_; }
   uint32_t num_partitions() const {
     return static_cast<uint32_t>(counts_.size());
   }
@@ -38,7 +41,7 @@ class LoadStats {
   }
 
  private:
-  std::vector<double> counts_;
+  CacheLineVector<double> counts_;
 };
 
 }  // namespace oij

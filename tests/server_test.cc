@@ -18,6 +18,7 @@
 
 #include "common/fault_injector.h"
 #include "core/engine_factory.h"
+#include "exposition_check.h"
 #include "http_test_util.h"
 #include "join/reference_join.h"
 #include "join/watermark.h"
@@ -332,9 +333,11 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
     return server.CountersSnapshot().tuples_in == events.size();
   })) << "server never ingested the batch";
 
-  // Mid-run: counters live, run not finished, still healthy.
+  // Mid-run: counters live, run not finished, still healthy, and the
+  // live page is a well-formed exposition.
   body = AdminGet(server.admin_port(), "/metrics", &code);
   EXPECT_EQ(code, 200);
+  EXPECT_EQ(ExpositionProblems(body), "") << body;
   EXPECT_NE(body.find("oij_up{"), std::string::npos);
   EXPECT_NE(body.find("oij_healthy 1"), std::string::npos);
   EXPECT_NE(body.find("oij_run_finished 0"), std::string::npos);
@@ -371,6 +374,7 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
   // quantile gauges render, healthz stays green.
   body = AdminGet(server.admin_port(), "/metrics", &code);
   EXPECT_EQ(code, 200);
+  EXPECT_EQ(ExpositionProblems(body), "") << body;
   EXPECT_NE(body.find("oij_run_finished 1"), std::string::npos);
   EXPECT_NE(body.find("oij_run_input_tuples_total " +
                       std::to_string(events.size())),
@@ -392,6 +396,48 @@ TEST(ServerAdminTest, MetricsHealthzStatzDuringAndAfterRun) {
   EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("\"state\":\"finished\""), std::string::npos);
 
+  server.Shutdown();
+}
+
+/// The data-plane byte counters count data connections only: they equal
+/// exactly what the client sent, and scraping the admin port (whose
+/// requests and responses are bytes too) leaves them unchanged.
+TEST(ServerAdminTest, ScrapesDoNotMoveDataPlaneByteCounters) {
+  WorkloadSpec workload;
+  ASSERT_TRUE(FindPreset("default", &workload));
+  workload.total_tuples = 500;
+  ServerConfig config;
+  config.query.window = workload.window;
+  config.query.lateness_us = workload.lateness_us;
+  config.options.num_joiners = 1;
+  OijServer server(config);
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto events = Generate(workload);
+  std::string batch;
+  for (const StreamEvent& ev : events) AppendTupleFrame(&batch, ev);
+  DataClient client(server.data_port());
+  ASSERT_TRUE(client.Send(batch));
+  ASSERT_TRUE(WaitUntil([&] {
+    return server.CountersSnapshot().tuples_in == events.size();
+  })) << "server never ingested the batch";
+
+  // No data flows from here on; only the scrapes below talk to it.
+  int code = 0;
+  std::vector<double> ingest;
+  std::vector<double> egress;
+  for (int i = 0; i < 3; ++i) {
+    const std::string body = AdminGet(server.admin_port(), "/metrics", &code);
+    ASSERT_EQ(code, 200);
+    ingest.push_back(MetricValue(body, "oij_ingest_bytes_total"));
+    egress.push_back(MetricValue(body, "oij_egress_bytes_total"));
+  }
+  EXPECT_EQ(ingest[0], static_cast<double>(batch.size()));
+  for (int i = 1; i < 3; ++i) {
+    EXPECT_EQ(ingest[i], ingest[0]) << "scrape " << i;
+    EXPECT_EQ(egress[i], egress[0]) << "scrape " << i;
+  }
+  EXPECT_EQ(server.CountersSnapshot().bytes_in, batch.size());
   server.Shutdown();
 }
 
